@@ -342,3 +342,62 @@ func BenchmarkCompileEachEndToEnd(b *testing.B) {
 		RunToCompletion(net, comm.AllReduce(group, 1e6))
 	}
 }
+
+// drainDirect runs a schedule's phases straight on netsim with one
+// shared callback and no Op: the flows' own allocation cost.
+func drainDirect(net *netsim.Network, s Schedule) {
+	phase, pending := 0, 0
+	var start func()
+	done := func(*netsim.Flow) {
+		if pending--; pending == 0 {
+			phase++
+			start()
+		}
+	}
+	start = func() {
+		for phase < len(s.Phases) && len(s.Phases[phase]) == 0 {
+			phase++
+		}
+		if phase == len(s.Phases) {
+			return
+		}
+		pending = len(s.Phases[phase])
+		for _, t := range s.Phases[phase] {
+			lat := t.LatencyOverride
+			if lat <= 0 {
+				lat = -1
+			}
+			net.StartFlow(netsim.FlowSpec{Links: t.Links, Bytes: t.Bytes, Latency: lat,
+				Prepared: t.prepared, Label: s.Name, Done: done})
+		}
+	}
+	start()
+	net.Scheduler().Run()
+}
+
+// An Op binds its flow callbacks once, so what it allocates beyond its
+// flows' own cost is the same for a 4-member ring as for a 20-member
+// one.
+func TestOpAllocsIndependentOfFlowCount(t *testing.T) {
+	overhead := func(size int) float64 {
+		net := netsim.New(sim.NewScheduler())
+		m := topology.NewMesh(net, topology.DefaultMeshConfig())
+		group := make([]int, size)
+		for i := range group {
+			group[i] = i
+		}
+		s := NewComm(m).AllReduce(group, 1e6)
+		run := func() {
+			if _, err := RunToCompletionErr(net, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the network's and scheduler's reusable state
+		drainDirect(net, s)
+		return testing.AllocsPerRun(20, run) - testing.AllocsPerRun(20, func() { drainDirect(net, s) })
+	}
+	small, large := overhead(4), overhead(20)
+	if small != large {
+		t.Fatalf("op allocations beyond its flows: %.1f for 4 members, %.1f for 20; want equal", small, large)
+	}
+}

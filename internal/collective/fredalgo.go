@@ -8,20 +8,44 @@ import (
 	"github.com/wafernet/fred/internal/topology"
 )
 
-// groupByL1 splits a group of NPUs by leaf switch, preserving order
-// within each leaf, and returns the involved leaf indices in order.
-func groupByL1(f *topology.FredFabric, group []int) (map[int][]int, []int) {
-	byL1 := make(map[int][]int)
+// leavesOf returns the leaf switches a group spans, in ascending
+// order.
+func leavesOf(f *topology.FredFabric, group []int) []int {
 	var l1s []int
 	for _, npu := range group {
 		l1 := f.L1Of(npu)
-		if _, ok := byL1[l1]; !ok {
-			l1s = append(l1s, l1)
+		i := sort.SearchInts(l1s, l1)
+		if i < len(l1s) && l1s[i] == l1 {
+			continue
 		}
-		byL1[l1] = append(byL1[l1], npu)
+		l1s = append(l1s, 0)
+		copy(l1s[i+1:], l1s[i:])
+		l1s[i] = l1
 	}
-	sort.Ints(l1s)
-	return byL1, l1s
+	return l1s
+}
+
+// spansLeaves reports whether a group spans more than one leaf switch.
+func spansLeaves(f *topology.FredFabric, group []int) bool {
+	for _, npu := range group {
+		if f.L1Of(npu) != f.L1Of(group[0]) {
+			return true
+		}
+	}
+	return false
+}
+
+// groupByL1 splits a group of NPUs by leaf switch: it returns the
+// involved leaves in ascending order and, aligned with them, each
+// leaf's members in group order.
+func groupByL1(f *topology.FredFabric, group []int) (l1s []int, members [][]int) {
+	l1s = leavesOf(f, group)
+	members = make([][]int, len(l1s))
+	for _, npu := range group {
+		i := sort.SearchInts(l1s, f.L1Of(npu))
+		members[i] = append(members[i], npu)
+	}
+	return l1s, members
 }
 
 // FredEndpointAllReduce compiles the hierarchical 2D ring algorithm
@@ -38,13 +62,13 @@ func FredEndpointAllReduce(f *topology.FredFabric, group []int, bytes float64) S
 	if n <= 1 || bytes <= 0 {
 		return s
 	}
-	byL1, l1s := groupByL1(f, group)
+	l1s, byL1 := groupByL1(f, group)
 	if len(l1s) == 1 {
 		// Entire group under one leaf: a flat ring through the switch
 		// runs at full NPU port bandwidth.
-		return RingAllReduce(f, byL1[l1s[0]], bytes, true)
+		return RingAllReduce(f, byL1[0], bytes, true)
 	}
-	k := len(byL1[l1s[0]])
+	k := len(byL1[0])
 	uniform := true
 	for _, members := range byL1 {
 		if len(members) != k {
@@ -57,7 +81,7 @@ func FredEndpointAllReduce(f *topology.FredFabric, group []int, bytes float64) S
 	}
 	if k == 1 {
 		// One member per leaf: a single cross-leaf ring.
-		return RingAllReduce(f, flatten(byL1, l1s), bytes, true)
+		return RingAllReduce(f, flatten(byL1), bytes, true)
 	}
 	// The three stages are chunked and pipelined (BlueConnect): in
 	// steady state the intra-leaf reduce-scatter of chunk c+1, the
@@ -66,29 +90,29 @@ func FredEndpointAllReduce(f *topology.FredFabric, group []int, bytes float64) S
 	// holding every stage's edge transfers.
 	var parts []Schedule
 	// Stage 1: intra-leaf reduce-scatter (bytes → shard of bytes/k).
-	for _, l1 := range l1s {
-		parts = append(parts, RingReduceScatter(f, byL1[l1], bytes, true))
+	for _, members := range byL1 {
+		parts = append(parts, RingReduceScatter(f, members, bytes, true))
 	}
 	// Stage 2: cross-leaf all-reduce of each shard: k concurrent rings.
 	for j := 0; j < k; j++ {
 		ring := make([]int, 0, len(l1s))
-		for _, l1 := range l1s {
-			ring = append(ring, byL1[l1][j])
+		for _, members := range byL1 {
+			ring = append(ring, members[j])
 		}
 		parts = append(parts, RingAllReduce(f, ring, bytes/float64(k), true))
 	}
 	// Stage 3: intra-leaf all-gather of the shards.
-	for _, l1 := range l1s {
-		parts = append(parts, RingAllGather(f, byL1[l1], bytes, true))
+	for _, members := range byL1 {
+		parts = append(parts, RingAllGather(f, members, bytes, true))
 	}
 	s.Phases = appendConcurrent(s.Phases, parts)
 	return s
 }
 
-func flatten(byL1 map[int][]int, l1s []int) []int {
+func flatten(byL1 [][]int) []int {
 	var out []int
-	for _, l1 := range l1s {
-		out = append(out, byL1[l1]...)
+	for _, members := range byL1 {
+		out = append(out, members...)
 	}
 	return out
 }
@@ -117,8 +141,7 @@ func appendConcurrent(phases []Phase, parts []Schedule) []Phase {
 // inNetworkDepth returns the pipelined tree's cut-through latency: 2
 // hops for a leaf-local group, 4 through the root.
 func inNetworkDepth(f *topology.FredFabric, group []int) float64 {
-	_, l1s := groupByL1(f, group)
-	if len(l1s) <= 1 {
+	if !spansLeaves(f, group) {
 		return 2 * f.Config().LinkLatency
 	}
 	return 4 * f.Config().LinkLatency
@@ -129,13 +152,12 @@ func inNetworkDepth(f *topology.FredFabric, group []int) float64 {
 // more than one leaf is involved): per-NPU up and down links plus the
 // L1↔L2 links of every involved leaf.
 func inNetworkTreeLinks(f *topology.FredFabric, group []int) []netsim.LinkID {
-	_, l1s := groupByL1(f, group)
 	var links []netsim.LinkID
 	for _, npu := range group {
 		links = append(links, f.UpLink(npu), f.DownLink(npu))
 	}
-	if len(l1s) > 1 {
-		for _, l1 := range l1s {
+	if spansLeaves(f, group) {
+		for _, l1 := range leavesOf(f, group) {
 			links = append(links, f.L1UpLink(l1), f.L1DownLink(l1))
 		}
 	}
@@ -175,7 +197,7 @@ func FredInNetworkReduce(f *topology.FredFabric, group []int, root int, bytes fl
 			links = append(links, f.UpLink(npu))
 		}
 	}
-	_, l1s := groupByL1(f, group)
+	l1s := leavesOf(f, group)
 	for _, l1 := range l1s {
 		if l1 != rootL1 {
 			links = append(links, f.L1UpLink(l1))

@@ -123,13 +123,20 @@ type Op struct {
 	schedule Schedule
 	onDone   func(*Op)
 	onFail   func(*Op)
-	phase    int
-	active   []*netsim.Flow
-	pendingN int
-	state    OpState
-	started  sim.Time
-	finished sim.Time
-	err      error
+	// onFlow is the op's one flow callback, bound once per op and passed
+	// as both Done and OnFail of every flow it starts: netsim marks an
+	// aborted flow FlowFailed before calling OnFail.
+	onFlow func(*netsim.Flow)
+	phase  int
+	active []*netsim.Flow
+	// activeBuf backs active while phases hold one transfer (every
+	// in-network collective), sparing that slice an allocation.
+	activeBuf [1]*netsim.Flow
+	pendingN  int
+	state     OpState
+	started   sim.Time
+	finished  sim.Time
+	err       error
 
 	// Critpath bookkeeping, only touched while the network has a
 	// recorder: the op's DAG node, the start of the current phase
@@ -152,6 +159,14 @@ func Start(net *netsim.Network, schedule Schedule, onDone func(*Op)) *Op {
 		schedule: schedule,
 		onDone:   onDone,
 		started:  net.Scheduler().Now(),
+	}
+	op.active = op.activeBuf[:0]
+	op.onFlow = func(f *netsim.Flow) {
+		if f.State() == netsim.FlowFailed {
+			op.flowAborted(f)
+		} else {
+			op.flowDone(f)
+		}
 	}
 	if rec := net.CritPath(); rec != nil {
 		op.rec = rec
@@ -210,6 +225,9 @@ func (op *Op) startPhase() {
 	}
 	phase := op.schedule.Phases[op.phase]
 	op.active = op.active[:0]
+	if cap(op.active) < len(phase) {
+		op.active = make([]*netsim.Flow, 0, len(phase))
+	}
 	op.pendingN = len(phase)
 	for _, t := range phase {
 		if len(t.Links) == 0 {
@@ -231,8 +249,8 @@ func (op *Op) startPhase() {
 			Latency:    lat,
 			Prepared:   t.prepared,
 			Label:      op.schedule.Name,
-			Done:       func(f *netsim.Flow) { op.flowDone(f) },
-			OnFail:     func(f *netsim.Flow) { op.flowAborted(f) },
+			Done:       op.onFlow,
+			OnFail:     op.onFlow,
 			CritParent: op.node,
 		}))
 	}

@@ -32,6 +32,7 @@
 package critpath
 
 import (
+	"math/bits"
 	"sort"
 
 	"github.com/wafernet/fred/internal/sim"
@@ -190,8 +191,12 @@ type Edge struct {
 // nil-check, like trace.Tracer). Recorders are single-goroutine, like
 // the simulators that feed them.
 type Recorder struct {
-	nodes []Node
-	edges []Edge
+	// chunks hold the nodes in creation order; chunk k has room for
+	// nodeChunkBase<<k of them. A full chunk is never copied, as an
+	// appended slice would be on every doubling.
+	chunks [][]Node
+	n      int
+	edges  []Edge
 	// closed accumulates the blame of every completed (Closed, Failed
 	// or Added) node — the cumulative decomposition the time-series
 	// flight recorder samples mid-run.
@@ -207,11 +212,34 @@ func (r *Recorder) ClosedBlame() Blame { return r.closed }
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
+// nodeChunkBase is the capacity of a recorder's first node chunk.
+const nodeChunkBase = 64
+
+// nodeSlot maps a 0-based node index to its chunk and offset.
+func nodeSlot(i int) (chunk, off int) {
+	chunk = bits.Len(uint(i/nodeChunkBase+1)) - 1
+	return chunk, i - nodeChunkBase*(1<<chunk-1)
+}
+
+// node returns the node with the given ID, or nil for an unknown ID.
+func (r *Recorder) node(id NodeID) *Node {
+	if id <= 0 || int(id) > r.n {
+		return nil
+	}
+	k, off := nodeSlot(int(id) - 1)
+	return &r.chunks[k][off]
+}
+
 // Add appends a completed node (ID assigned by the recorder) and
 // returns its ID.
 func (r *Recorder) Add(n Node) NodeID {
-	n.ID = NodeID(len(r.nodes) + 1)
-	r.nodes = append(r.nodes, n)
+	k, off := nodeSlot(r.n)
+	if k == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]Node, nodeChunkBase<<k))
+	}
+	r.n++
+	n.ID = NodeID(r.n)
+	r.chunks[k][off] = n
 	r.closed.Add(n.Blame)
 	return n.ID
 }
@@ -223,10 +251,10 @@ func (r *Recorder) Open(n Node) NodeID { return r.Add(n) }
 // Close completes an open node with its end time, blame and binding
 // link. A zero id is ignored.
 func (r *Recorder) Close(id NodeID, end sim.Time, b Blame, bindLink string) {
-	if id <= 0 || int(id) > len(r.nodes) {
+	n := r.node(id)
+	if n == nil {
 		return
 	}
-	n := &r.nodes[id-1]
 	r.closed.Add(Blame{Serial: b.Serial - n.Blame.Serial,
 		Contention: b.Contention - n.Blame.Contention, Fault: b.Fault - n.Blame.Fault})
 	n.End = end
@@ -236,10 +264,10 @@ func (r *Recorder) Close(id NodeID, end sim.Time, b Blame, bindLink string) {
 
 // Fail completes an open node as fault-cancelled.
 func (r *Recorder) Fail(id NodeID, end sim.Time, b Blame) {
-	if id <= 0 || int(id) > len(r.nodes) {
+	n := r.node(id)
+	if n == nil {
 		return
 	}
-	n := &r.nodes[id-1]
 	r.closed.Add(Blame{Serial: b.Serial - n.Blame.Serial,
 		Contention: b.Contention - n.Blame.Contention, Fault: b.Fault - n.Blame.Fault})
 	n.End = end
@@ -258,20 +286,26 @@ func (r *Recorder) Edge(k EdgeKind, from, to NodeID) {
 
 // Node returns a node by ID (zero Node for an unknown ID).
 func (r *Recorder) Node(id NodeID) Node {
-	if id <= 0 || int(id) > len(r.nodes) {
-		return Node{}
+	if n := r.node(id); n != nil {
+		return *n
 	}
-	return r.nodes[id-1]
+	return Node{}
 }
 
-// Nodes returns the recorded nodes in creation order.
-func (r *Recorder) Nodes() []Node { return r.nodes }
+// Nodes returns a copy of the recorded nodes in creation order.
+func (r *Recorder) Nodes() []Node {
+	out := make([]Node, 0, r.n)
+	for _, c := range r.chunks {
+		out = append(out, c[:min(len(c), r.n-len(out))]...)
+	}
+	return out
+}
 
 // Edges returns the recorded edges in creation order.
 func (r *Recorder) Edges() []Edge { return r.edges }
 
 // NodeCount returns the number of recorded nodes.
-func (r *Recorder) NodeCount() int { return len(r.nodes) }
+func (r *Recorder) NodeCount() int { return r.n }
 
 // EdgeCount returns the number of recorded edges.
 func (r *Recorder) EdgeCount() int { return len(r.edges) }
@@ -283,12 +317,12 @@ func (r *Recorder) EdgeCount() int { return len(r.edges) }
 // earlier node to a later one are skipped (creation order is the
 // topological order by construction).
 func (r *Recorder) LongestChain() float64 {
-	if len(r.nodes) == 0 {
+	if r.n == 0 {
 		return 0
 	}
-	best := make([]float64, len(r.nodes)+1)
-	for i := range r.nodes {
-		best[i+1] = r.nodes[i].Duration()
+	best := make([]float64, r.n+1)
+	for id := 1; id <= r.n; id++ {
+		best[id] = r.node(NodeID(id)).Duration()
 	}
 	seq := make([]Edge, 0, len(r.edges))
 	for _, e := range r.edges {
@@ -298,7 +332,7 @@ func (r *Recorder) LongestChain() float64 {
 	}
 	sort.SliceStable(seq, func(i, j int) bool { return seq[i].To < seq[j].To })
 	for _, e := range seq {
-		if c := best[e.From] + r.nodes[e.To-1].Duration(); c > best[e.To] {
+		if c := best[e.From] + r.node(e.To).Duration(); c > best[e.To] {
 			best[e.To] = c
 		}
 	}

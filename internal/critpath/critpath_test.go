@@ -48,10 +48,10 @@ func TestClampBlame(t *testing.T) {
 		want                  Blame
 	}{
 		{1, 0.25, 0.25, Blame{Serial: 0.5, Contention: 0.25, Fault: 0.25}},
-		{1, 2, 0, Blame{Contention: 1}},              // stall clamped to elapsed
+		{1, 2, 0, Blame{Contention: 1}},                       // stall clamped to elapsed
 		{1, 0.75, 0.75, Blame{Contention: 0.75, Fault: 0.25}}, // fault clamped to remainder
-		{1, -1, -1, Blame{Serial: 1}},                // negative inputs ignored
-		{0, 5, 5, Blame{}},                           // empty interval
+		{1, -1, -1, Blame{Serial: 1}},                         // negative inputs ignored
+		{0, 5, 5, Blame{}},                                    // empty interval
 	}
 	for _, c := range cases {
 		got := ClampBlame(c.elapsed, c.stall, c.fault)
@@ -263,5 +263,35 @@ func TestKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)
 		}
+	}
+}
+
+// Nodes spanning many storage chunks keep their IDs, stay addressable
+// for Close, and come back from Nodes in creation order.
+func TestRecorderAcrossChunks(t *testing.T) {
+	r := NewRecorder()
+	const n = 1000
+	for i := 1; i <= n; i++ {
+		if id := r.Open(Node{Kind: KindOp, Start: float64(i)}); id != NodeID(i) {
+			t.Fatalf("node %d got ID %d", i, id)
+		}
+	}
+	for _, id := range []NodeID{1, 64, 65, 191, 192, 448, n} {
+		r.Close(id, float64(id)+1, Blame{Serial: 1}, "")
+	}
+	nodes := r.Nodes()
+	if len(nodes) != n || r.NodeCount() != n {
+		t.Fatalf("Nodes() has %d nodes, NodeCount %d, want %d", len(nodes), r.NodeCount(), n)
+	}
+	for i, nd := range nodes {
+		if nd.ID != NodeID(i+1) || nd.Start != float64(i+1) || nd != r.Node(nd.ID) {
+			t.Fatalf("node %d out of place: %+v", i+1, nd)
+		}
+	}
+	if got := r.ClosedBlame().Serial; got != 7 {
+		t.Fatalf("closed serial blame %g, want 7", got)
+	}
+	if d := r.Node(192).Duration(); d != 1 {
+		t.Fatalf("closed node 192 has duration %g, want 1", d)
 	}
 }

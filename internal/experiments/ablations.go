@@ -39,11 +39,13 @@ func (s *Session) MiddleStageAblation() ([]MiddleStageRow, *report.Table) {
 	rng := rand.New(rand.NewSource(42))
 	strategies := parallelism.EnumerateExact(ports)
 
-	routable := func(m int, random bool) float64 {
+	// Route only reads the interconnect, and its coloring memo is keyed
+	// by content, so one Fred_m(12) serves every trial of its m.
+	perm := make([]int, ports)
+	routable := func(ic *fred.Interconnect, random bool) float64 {
 		ok := 0
 		for trial := 0; trial < trials; trial++ {
 			s := strategies[rng.Intn(len(strategies))]
-			perm := make([]int, ports)
 			for i := range perm {
 				perm[i] = i
 			}
@@ -67,7 +69,6 @@ func (s *Session) MiddleStageAblation() ([]MiddleStageRow, *report.Table) {
 				ok++
 				continue
 			}
-			ic := fred.NewInterconnect(m, ports)
 			if _, err := ic.Route(flows); err == nil {
 				ok++
 			}
@@ -81,12 +82,13 @@ func (s *Session) MiddleStageAblation() ([]MiddleStageRow, *report.Table) {
 	}
 	var rows []MiddleStageRow
 	for _, m := range []int{2, 3, 4} {
+		ic := fred.NewInterconnect(m, ports)
 		for _, random := range []bool{false, true} {
 			name := "consecutive"
 			if random {
 				name = "random"
 			}
-			r := MiddleStageRow{M: m, Placement: name, SuccessRate: routable(m, random)}
+			r := MiddleStageRow{M: m, Placement: name, SuccessRate: routable(ic, random)}
 			rows = append(rows, r)
 			tbl.AddRow(m, name, report.FormatFraction(r.SuccessRate))
 		}

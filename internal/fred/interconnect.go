@@ -13,6 +13,9 @@ type portRef struct {
 // middle subnetworks and r output µswitches, with a demux/mux pair for
 // the odd port when P = 2r+1.
 type stage struct {
+	// path is the stage's recursion path ("mid[1].mid[0]." style), the
+	// label prefix of its elements and the Path of its Assignments.
+	path    string
 	p, r    int
 	odd     bool
 	base    *Element // P == 2 only
@@ -41,6 +44,12 @@ type Interconnect struct {
 	colorMemo   map[string]colorResult
 	colorKeyBuf []byte
 	faultEpoch  uint64
+	// Route's reused working set (routing.go): per-level scratch, the
+	// root-level projected flows, and the shared one-port lists {c}.
+	scratch    []*routeScratch
+	rootFlows  []localFlow
+	rootPorts  []int
+	colorPorts []int
 }
 
 // NewInterconnect constructs a Fred_m(P) interconnect. m is the number
@@ -54,7 +63,10 @@ func NewInterconnect(m, p int) *Interconnect {
 	if p < 2 {
 		panic(fmt.Sprintf("fred: port count P = %d, need ≥ 2", p))
 	}
-	ic := &Interconnect{m: m, p: p}
+	ic := &Interconnect{m: m, p: p, colorPorts: make([]int, m)}
+	for c := range ic.colorPorts {
+		ic.colorPorts[c] = c
+	}
 	ic.root = ic.build(p, 0, "")
 	ic.inWire = ic.root.extIn
 	for j, owner := range ic.root.extOutOwner {
@@ -93,7 +105,7 @@ func (ic *Interconnect) newElement(kind ElementKind, in, out, level int, label s
 // build constructs the stage for a Fred_m(p) subnetwork at the given
 // recursion level.
 func (ic *Interconnect) build(p, level int, prefix string) *stage {
-	st := &stage{p: p}
+	st := &stage{path: prefix, p: p}
 	if p == 2 {
 		st.base = ic.newElement(KindBase, 2, 2, level, prefix+"base")
 		st.extIn = []Wire{{Elem: st.base.ID, Port: 0}, {Elem: st.base.ID, Port: 1}}

@@ -93,7 +93,8 @@ type Element struct {
 // Connection is one configured pass through an element: the streams on
 // the In ports are reduced into one stream, which is copied to every
 // Out port. |In| > 1 requires reduce capability; |Out| > 1 requires
-// distribute capability. Port indices are local to the element.
+// distribute capability. Port indices are local to the element. Plans
+// from Route share their In and Out lists read-only.
 type Connection struct {
 	In  []int
 	Out []int

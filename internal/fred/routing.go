@@ -119,6 +119,58 @@ type localFlow struct {
 	ips, ops []int
 }
 
+// routeScratch is one recursion level's working set. Route keeps one
+// per level on the interconnect and reuses it across calls, so a warm
+// Route allocates little beyond the Plan it returns. A level's scratch
+// is live until its last middle subnetwork has been routed; deeper
+// levels use their own.
+type routeScratch struct {
+	adj     [][]bool
+	adjFlat []bool
+	// inMask[i*r+s] holds flow i's local ports on input µswitch s as
+	// bits (bit p for port p); outMask the same for output µswitches.
+	inMask, outMask []uint8
+	oddIn, oddOut   []bool
+	sub             [][]localFlow
+	// ports backs the projected sub-flows' port lists.
+	ports []int
+}
+
+// portSets maps a µswitch port mask to its sorted port list. Plans
+// share these slices read-only, as they share colorPorts.
+var portSets = [4][]int{nil, {0}, {1}, {0, 1}}
+
+// portSet returns the shared sorted list of base-µswitch ports.
+func portSet(ports []int) []int {
+	mask := 0
+	for _, p := range ports {
+		mask |= 1 << p
+	}
+	return portSets[mask]
+}
+
+// colorPort returns the shared one-element port list {c}.
+func (ic *Interconnect) colorPort(c int) []int { return ic.colorPorts[c : c+1 : c+1] }
+
+// reuse returns s resized to n zero values, keeping its backing array
+// when it is large enough.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// scratchAt returns the reused working set of recursion level level.
+func (ic *Interconnect) scratchAt(level int) *routeScratch {
+	for len(ic.scratch) <= level {
+		ic.scratch = append(ic.scratch, &routeScratch{})
+	}
+	return ic.scratch[level]
+}
+
 // Route routes the given flows concurrently through the interconnect
 // (Section 5.2). It returns a *ConflictError if the flows cannot all
 // be routed at once — the routing-conflict condition of Section 5.3.
@@ -127,11 +179,19 @@ func (ic *Interconnect) Route(flows []Flow) (*Plan, error) {
 		return nil, err
 	}
 	plan := &Plan{ic: ic, flows: flows, config: make(map[int][]Connection)}
-	local := make([]localFlow, len(flows))
+	local := reuse(ic.rootFlows, len(flows))
+	ports := ic.rootPorts[:0]
 	for i, f := range flows {
-		local[i] = localFlow{id: i, ips: sortedCopy(f.IPs), ops: sortedCopy(f.OPs)}
+		ips := len(ports)
+		ports = append(ports, f.IPs...)
+		ops := len(ports)
+		ports = append(ports, f.OPs...)
+		local[i] = localFlow{id: i, ips: ports[ips:ops:ops], ops: ports[ops:len(ports):len(ports)]}
+		sort.Ints(local[i].ips)
+		sort.Ints(local[i].ops)
 	}
-	if err := ic.routeStage(ic.root, local, plan, 0, ""); err != nil {
+	ic.rootFlows, ic.rootPorts = local, ports
+	if err := ic.routeStage(ic.root, local, plan, 0); err != nil {
 		return nil, err
 	}
 	// Validate the produced configuration element by element.
@@ -162,7 +222,7 @@ func addConn(plan *Plan, e *Element, c Connection) {
 // input/output µswitches (activating reduction/distribution where a
 // flow owns both ports), then recurse into each middle subnetwork with
 // the projected sub-flows.
-func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, level int, path string) error {
+func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, level int) error {
 	if len(flows) == 0 {
 		return nil
 	}
@@ -171,37 +231,33 @@ func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, lev
 			return &DeadSwitchError{Level: level, Element: st.base.Label, Flows: flowIDs(flows)}
 		}
 		for _, f := range flows {
-			addConn(plan, st.base, Connection{In: f.ips, Out: f.ops, Flow: f.id})
+			addConn(plan, st.base, Connection{In: portSet(f.ips), Out: portSet(f.ops), Flow: f.id})
 		}
 		return nil
 	}
 
 	// Conflict graph: an edge joins two flows that share an input
 	// µswitch or an output µswitch (Section 5.2, first intuition).
-	n := len(flows)
-	adj := make([][]bool, n)
-	for i := range adj {
-		adj[i] = make([]bool, n)
-	}
-	inSW := make([]map[int][]int, n)  // flow → input µswitch → local ports
-	outSW := make([]map[int][]int, n) // flow → output µswitch → local ports
-	oddIn := make([]bool, n)
-	oddOut := make([]bool, n)
+	sc := ic.scratchAt(level)
+	n, r := len(flows), st.r
+	sc.inMask = reuse(sc.inMask, n*r)
+	sc.outMask = reuse(sc.outMask, n*r)
+	sc.oddIn = reuse(sc.oddIn, n)
+	sc.oddOut = reuse(sc.oddOut, n)
+	inMask, outMask, oddIn, oddOut := sc.inMask, sc.outMask, sc.oddIn, sc.oddOut
 	for i, f := range flows {
-		inSW[i] = make(map[int][]int)
-		outSW[i] = make(map[int][]int)
 		for _, p := range f.ips {
-			if st.odd && p == 2*st.r {
+			if st.odd && p == 2*r {
 				oddIn[i] = true
 			} else {
-				inSW[i][p/2] = append(inSW[i][p/2], p%2)
+				inMask[i*r+p/2] |= 1 << (p % 2)
 			}
 		}
 		for _, p := range f.ops {
-			if st.odd && p == 2*st.r {
+			if st.odd && p == 2*r {
 				oddOut[i] = true
 			} else {
-				outSW[i][p/2] = append(outSW[i][p/2], p%2)
+				outMask[i*r+p/2] |= 1 << (p % 2)
 			}
 		}
 	}
@@ -211,14 +267,14 @@ func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, lev
 	if ic.failed != nil {
 		for s, e := range st.inputs {
 			if ic.failed[e.ID] {
-				if ids := flowsUsingSwitch(flows, inSW, s); len(ids) > 0 {
+				if ids := flowsUsingSwitch(flows, inMask, r, s); len(ids) > 0 {
 					return &DeadSwitchError{Level: level, Element: e.Label, Flows: ids}
 				}
 			}
 		}
 		for s, e := range st.outputs {
 			if ic.failed[e.ID] {
-				if ids := flowsUsingSwitch(flows, outSW, s); len(ids) > 0 {
+				if ids := flowsUsingSwitch(flows, outMask, r, s); len(ids) > 0 {
 					return &DeadSwitchError{Level: level, Element: e.Label, Flows: ids}
 				}
 			}
@@ -235,26 +291,23 @@ func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, lev
 		}
 	}
 
+	sc.adjFlat = reuse(sc.adjFlat, n*n)
+	if cap(sc.adj) < n {
+		sc.adj = make([][]bool, n)
+	}
+	adj := sc.adj[:n]
+	for i := range adj {
+		adj[i] = sc.adjFlat[i*n : (i+1)*n]
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			conflict := false
-			for s := range inSW[i] {
-				if _, ok := inSW[j][s]; ok {
-					conflict = true
+			for s := 0; s < r; s++ {
+				if inMask[i*r+s] != 0 && inMask[j*r+s] != 0 ||
+					outMask[i*r+s] != 0 && outMask[j*r+s] != 0 {
+					adj[i][j] = true
+					adj[j][i] = true
 					break
 				}
-			}
-			if !conflict {
-				for s := range outSW[i] {
-					if _, ok := outSW[j][s]; ok {
-						conflict = true
-						break
-					}
-				}
-			}
-			if conflict {
-				adj[i][j] = true
-				adj[j][i] = true
 			}
 		}
 	}
@@ -275,31 +328,44 @@ func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, lev
 	}
 
 	// Configure this level and project sub-flows per middle subnetwork.
-	sub := make([][]localFlow, ic.m)
+	if cap(sc.sub) < ic.m {
+		sc.sub = make([][]localFlow, ic.m)
+	}
+	sub := sc.sub[:ic.m]
+	for c := range sub {
+		sub[c] = sub[c][:0]
+	}
+	ports := sc.ports[:0]
 	for i, f := range flows {
 		c := colors[i]
-		plan.Assignments = append(plan.Assignments, Assignment{Level: level, Path: path, Flow: f.id, Color: c})
-		var subIPs, subOPs []int
-		for s, ports := range inSW[i] {
-			addConn(plan, st.inputs[s], Connection{In: sortedCopy(ports), Out: []int{c}, Flow: f.id})
-			subIPs = append(subIPs, s)
+		plan.Assignments = append(plan.Assignments, Assignment{Level: level, Path: st.path, Flow: f.id, Color: c})
+		ips := len(ports)
+		for s, mask := range inMask[i*r : (i+1)*r] {
+			if mask != 0 {
+				addConn(plan, st.inputs[s], Connection{In: portSets[mask], Out: ic.colorPort(c), Flow: f.id})
+				ports = append(ports, s)
+			}
 		}
 		if oddIn[i] {
-			addConn(plan, st.demux, Connection{In: []int{0}, Out: []int{c}, Flow: f.id})
-			subIPs = append(subIPs, st.r)
+			addConn(plan, st.demux, Connection{In: portSets[1], Out: ic.colorPort(c), Flow: f.id})
+			ports = append(ports, r)
 		}
-		for s, ports := range outSW[i] {
-			addConn(plan, st.outputs[s], Connection{In: []int{c}, Out: sortedCopy(ports), Flow: f.id})
-			subOPs = append(subOPs, s)
+		ops := len(ports)
+		for s, mask := range outMask[i*r : (i+1)*r] {
+			if mask != 0 {
+				addConn(plan, st.outputs[s], Connection{In: ic.colorPort(c), Out: portSets[mask], Flow: f.id})
+				ports = append(ports, s)
+			}
 		}
 		if oddOut[i] {
-			addConn(plan, st.mux, Connection{In: []int{c}, Out: []int{0}, Flow: f.id})
-			subOPs = append(subOPs, st.r)
+			addConn(plan, st.mux, Connection{In: ic.colorPort(c), Out: portSets[1], Flow: f.id})
+			ports = append(ports, r)
 		}
-		sub[c] = append(sub[c], localFlow{id: f.id, ips: sortedCopy(subIPs), ops: sortedCopy(subOPs)})
+		sub[c] = append(sub[c], localFlow{id: f.id, ips: ports[ips:ops:ops], ops: ports[ops:len(ports):len(ports)]})
 	}
+	sc.ports = ports
 	for c, flows := range sub {
-		if err := ic.routeStage(st.middles[c], flows, plan, level+1, fmt.Sprintf("%smid[%d].", path, c)); err != nil {
+		if err := ic.routeStage(st.middles[c], flows, plan, level+1); err != nil {
 			return err
 		}
 	}
@@ -315,12 +381,12 @@ func flowIDs(flows []localFlow) []int {
 	return ids
 }
 
-// flowsUsingSwitch returns the original IDs of flows whose port map
-// references first/last-stage µswitch s.
-func flowsUsingSwitch(flows []localFlow, sw []map[int][]int, s int) []int {
+// flowsUsingSwitch returns the original IDs of flows whose port masks
+// (r µswitches per flow) reference first/last-stage µswitch s.
+func flowsUsingSwitch(flows []localFlow, masks []uint8, r, s int) []int {
 	var ids []int
 	for i := range flows {
-		if _, ok := sw[i][s]; ok {
+		if masks[i*r+s] != 0 {
 			ids = append(ids, flows[i].id)
 		}
 	}

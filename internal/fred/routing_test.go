@@ -3,6 +3,7 @@ package fred
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -308,5 +309,72 @@ func TestPlanStringMentionsFeatures(t *testing.T) {
 	s := plan.String()
 	if s == "" {
 		t.Fatal("empty plan rendering")
+	}
+}
+
+// randomFlows draws a seeded set of disjoint multicast, reduce and
+// all-reduce flows over p ports.
+func randomFlows(rng *rand.Rand, p int) []Flow {
+	perm := rng.Perm(p)
+	var flows []Flow
+	for i := 0; i < p; {
+		g := perm[i:min(p, i+1+rng.Intn(4))]
+		i += len(g)
+		if len(g) < 2 {
+			continue
+		}
+		switch rng.Intn(3) {
+		case 0:
+			flows = append(flows, AllReduce(g))
+		case 1:
+			flows = append(flows, Multicast(g[0], g[1:]))
+		default:
+			flows = append(flows, Reduce(g[1:], g[0]))
+		}
+	}
+	return flows
+}
+
+// Route reuses per-interconnect scratch and a content-keyed coloring
+// memo across calls, so one interconnect serving a long seeded
+// sequence must configure exactly the plans (and report exactly the
+// conflicts) that a fresh interconnect gives for each call.
+func TestReusedInterconnectMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, m := range []int{2, 3, 4} {
+		for _, p := range []int{2, 5, 8, 12, 13} {
+			failed := -1
+			if p > 4 {
+				failed = rng.Intn(NewInterconnect(m, p).NumElements())
+			}
+			for _, broken := range []bool{false, true} {
+				if broken && failed < 0 {
+					continue
+				}
+				shared := NewInterconnect(m, p)
+				if broken {
+					shared.FailElement(failed)
+				}
+				for trial := 0; trial < 60; trial++ {
+					flows := randomFlows(rng, p)
+					fresh := NewInterconnect(m, p)
+					if broken {
+						fresh.FailElement(failed)
+					}
+					want, wantErr := fresh.Route(flows)
+					got, gotErr := shared.Route(flows)
+					if (wantErr == nil) != (gotErr == nil) ||
+						wantErr != nil && wantErr.Error() != gotErr.Error() {
+						t.Fatalf("m=%d p=%d trial %d: reused err %v, fresh err %v", m, p, trial, gotErr, wantErr)
+					}
+					if wantErr != nil {
+						continue
+					}
+					if got.String() != want.String() || !reflect.DeepEqual(got.Assignments, want.Assignments) {
+						t.Fatalf("m=%d p=%d trial %d: reused plan differs from fresh:\n%s\nvs\n%s", m, p, trial, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -61,11 +61,18 @@ type flit struct {
 	tail bool
 }
 
-// fifo is an input-port buffer.
+// fifo is an input-port buffer. pop shifts the (at most BufferFlits)
+// queued flits down instead of reslicing, so the backing array is
+// reused and push never re-grows it.
 type fifo struct {
 	q []flit
-	// owner is the message currently holding this input's route
-	// (wormhole: flits of one packet stay contiguous).
+}
+
+func (q *fifo) pop() flit {
+	f := q.q[0]
+	n := copy(q.q, q.q[1:])
+	q.q = q.q[:n]
+	return f
 }
 
 // router is one mesh node's switch.
@@ -91,14 +98,19 @@ type Mesh struct {
 	cfg     Config
 	routers []*router
 	msgs    []*Message
-	// pending injections per source, in order.
-	sendQ map[int][]int // src → message indices
+	// sendQ[src] holds src's pending message indices, in order.
+	sendQ [][]int
 	// flitsLeft tracks each message's flits not yet injected.
 	flitsLeft []int
 	delivered []int // flits delivered per message
 	cycles    int
-	// channel utilization: busy cycles per (node, direction-out).
-	busy map[[2]int]int
+	// busy[node*numPorts+d] counts busy cycles of the output channel
+	// at node in direction d.
+	busy []int
+	// moves and injections are step's per-cycle scratch, kept so a
+	// warmed step allocates nothing.
+	moves      []move
+	injections []inject
 	// failed holds directed channels taken out of service, keyed by
 	// (node, direction). Empty while the mesh is healthy.
 	failed map[[2]int]bool
@@ -116,8 +128,9 @@ func New(cfg Config) *Mesh {
 	if cfg.BufferFlits < 1 {
 		panic("meshrouter: need at least one buffer flit")
 	}
-	m := &Mesh{cfg: cfg, sendQ: make(map[int][]int), busy: make(map[[2]int]int)}
-	for i := 0; i < cfg.W*cfg.H; i++ {
+	nodes := cfg.W * cfg.H
+	m := &Mesh{cfg: cfg, sendQ: make([][]int, nodes), busy: make([]int, nodes*int(numPorts))}
+	for i := 0; i < nodes; i++ {
 		r := &router{}
 		for d := range r.outOwner {
 			r.outOwner[d] = -1
@@ -251,7 +264,7 @@ func (m *Mesh) Cycles() int { return m.cycles }
 
 // ChannelBusy returns the busy-cycle count of the output channel at
 // node in direction d.
-func (m *Mesh) ChannelBusy(node int, d Direction) int { return m.busy[[2]int{node, int(d)}] }
+func (m *Mesh) ChannelBusy(node int, d Direction) int { return m.busy[node*int(numPorts)+int(d)] }
 
 func (m *Mesh) done() bool {
 	for i := range m.msgs {
@@ -262,7 +275,7 @@ func (m *Mesh) done() bool {
 	return true
 }
 
-// step advances one cycle; returns whether any flit moved.
+// move is one planned flit transfer of a cycle.
 type move struct {
 	fromNode int
 	fromPort Direction
@@ -272,8 +285,16 @@ type move struct {
 	deliver  bool
 }
 
+// inject is one planned flit injection of a cycle.
+type inject struct {
+	node int
+	f    flit
+	msg  int
+}
+
+// step advances one cycle; returns whether any flit moved.
 func (m *Mesh) step() bool {
-	var moves []move
+	moves := m.moves[:0]
 	// Phase 1: plan. Each output channel forwards at most one flit;
 	// wormhole ownership keeps a packet contiguous; round-robin
 	// arbitration picks among competing inputs.
@@ -330,12 +351,7 @@ func (m *Mesh) step() bool {
 	}
 	// Injections: one flit per source per cycle into the Local input,
 	// respecting buffer space.
-	type inject struct {
-		node int
-		f    flit
-		msg  int
-	}
-	var injections []inject
+	injections := m.injections[:0]
 	for src, queue := range m.sendQ {
 		if len(queue) == 0 {
 			continue
@@ -353,11 +369,9 @@ func (m *Mesh) step() bool {
 	progress := false
 	for _, mv := range moves {
 		r := m.routers[mv.fromNode]
-		q := &r.in[mv.fromPort]
-		f := q.q[0]
-		q.q = q.q[1:]
+		f := r.in[mv.fromPort].pop()
 		out := mv.out
-		m.busy[[2]int{mv.fromNode, int(out)}]++
+		m.busy[mv.fromNode*int(numPorts)+int(out)]++
 		if mv.deliver {
 			m.delivered[f.msg]++
 			if f.tail {
@@ -390,5 +404,6 @@ func (m *Mesh) step() bool {
 		}
 		progress = true
 	}
+	m.moves, m.injections = moves, injections
 	return progress
 }

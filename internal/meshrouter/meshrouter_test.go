@@ -212,3 +212,23 @@ func TestPropertyInOrderPerPair(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A warmed cycle reuses the mesh's move and injection scratch and its
+// input FIFOs' backing arrays, so stepping allocates nothing.
+func TestStepZeroAllocWarm(t *testing.T) {
+	m := New(DefaultConfig())
+	n := m.cfg.W * m.cfg.H
+	for src := 0; src < n; src++ {
+		m.Inject(src, (src*7+3)%n, 1<<20) // far more flits than the test steps
+	}
+	for i := 0; i < 200; i++ {
+		m.step()
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if !m.step() {
+			t.Fatal("warm mesh made no progress")
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm step allocates %.1f objects/cycle, want 0", allocs)
+	}
+}

@@ -192,10 +192,7 @@ func (n *Network) flowRouteFailed(f *Flow) {
 		n.traceStage(f, "active")
 		n.markDirty()
 	case FlowLatency:
-		if f.latEvent != nil {
-			n.sched.Cancel(f.latEvent)
-			f.latEvent = nil
-		}
+		n.sched.Cancel(&f.lat)
 		n.traceStage(f, "latency")
 	default:
 		return
@@ -217,32 +214,37 @@ func (n *Network) flowRouteFailed(f *Flow) {
 	// retry-fire time, so it sees the fault state of that moment, not
 	// of the teardown.
 	backoff := n.retry.Backoff * float64(int64(1)<<uint(f.retries-1))
-	attempt := f.retries
 	f.state = FlowLatency
 	f.stageStart = n.sched.Now()
-	f.latEvent = n.sched.After(backoff, func() {
-		f.latEvent = nil
-		route, ok := f.reroute(attempt)
-		if !ok {
-			n.traceStage(f, "backoff")
-			n.abortFlow(f)
-			return
-		}
-		if n.mFlowsRerouted != nil {
-			n.mFlowsRerouted.Add(1)
-		}
+	n.sched.Arm(&f.lat, n.sched.Now()+backoff, (*backoffExpiry)(f))
+}
+
+// backoffExpiry is a flow's handler for the end of a retry backoff: the
+// flow asks for a route and waits out its latency again, or aborts.
+// Every teardown re-arms the backoff, so the attempt number is the
+// flow's retry count when it fires.
+type backoffExpiry Flow
+
+func (x *backoffExpiry) Fire() {
+	f := (*Flow)(x)
+	n := f.net
+	route, ok := f.reroute(f.retries)
+	if !ok {
 		n.traceStage(f, "backoff")
-		n.buildRoute(f, route)
-		lat := 0.0
-		for _, l := range f.links {
-			lat += l.Latency
-		}
-		f.latency = lat
-		f.latEvent = n.sched.After(lat, func() {
-			f.latEvent = nil
-			n.activate(f)
-		})
-	})
+		n.abortFlow(f)
+		return
+	}
+	if n.mFlowsRerouted != nil {
+		n.mFlowsRerouted.Add(1)
+	}
+	n.traceStage(f, "backoff")
+	n.buildRoute(f, route)
+	lat := 0.0
+	for _, l := range f.links {
+		lat += l.Latency
+	}
+	f.latency = lat
+	f.armLatency(lat)
 }
 
 // abortFlow marks the flow failed and notifies its OnFail callback. The

@@ -219,27 +219,25 @@ type Flow struct {
 	// complete is the flow's per-event completion handle, used only by
 	// the reference engine (the sharded engine times completions on the
 	// calendar below instead); detach cancels it.
-	complete   *sim.Event
-	latEvent   *sim.Event
-	activeIdx  int      // index in net.active; -1 while not active
-	fillFrozen bool     // progressive-filling scratch
-	actSeq     uint64   // activation sequence (assigned per activate)
+	complete  *sim.Event
+	activeIdx int    // index in net.active; -1 while not active
+	actSeq    uint64 // activation sequence (assigned per activate)
 	// Contention-domain membership (domain.go): doubly linked through
-	// the owning domain root's flow list while active with finite links.
+	// the owning domain root's flow list while active with finite links
+	// (inDom, below).
 	domPrev *Flow
 	domNext *Flow
-	inDom   bool
 	// compNext threads the flow into its exact component's list during
 	// one domain-fill pass (scratch, valid within the pass only).
 	compNext *Flow
 	// Completion-calendar state: the armed ETA, the rate it was derived
 	// from (rates are compared bitwise; an unchanged rate keeps the
-	// armed ETA), the arming pass and the heap slot (-1 while absent).
-	eta      sim.Time
-	etaRate  float64
-	etaPass  uint64
-	etaValid bool
-	calIdx   int
+	// armed ETA), the arming pass and the heap slot (-1 while absent);
+	// etaValid, below, marks an armed ETA.
+	eta        sim.Time
+	etaRate    float64
+	etaPass    uint64
+	calIdx     int
 	stageStart sim.Time // start of the current lifecycle stage (tracing)
 	lastRate   float64  // last rate sample emitted to the tracer
 	reroute    func(attempt int) ([]LinkID, bool)
@@ -253,10 +251,20 @@ type Flow struct {
 	// that froze the flow in the waterfiller's bottleneck ordering.
 	stall      float64
 	faultTime  float64
-	inFault    bool
 	faultFrom  sim.Time
 	bindLink   *Link
 	critParent critpath.NodeID
+	inFault    bool
+
+	// The flags of the groups above, packed together to keep the Flow
+	// small: the rate engine walks thousands of flows per pass.
+	fillFrozen bool // progressive-filling scratch
+	inDom      bool
+	etaValid   bool
+
+	// lat is the flow's latency (or retry-backoff) event, armed in
+	// place, so starting a flow allocates no event.
+	lat sim.Event
 }
 
 // ID returns the flow's network-unique sequence number (assigned in
@@ -386,10 +394,12 @@ type Network struct {
 	fillEpoch uint64
 	rateSum   []float64
 
-	flowSeq   uint64
-	tracer    trace.Tracer
-	telemetry bool
-	lastUtil  []float64 // per-link utilization as of the last observe pass
+	flowSeq uint64
+	// routesResolved counts resolveRoute calls (RoutesResolved).
+	routesResolved uint64
+	tracer         trace.Tracer
+	telemetry      bool
+	lastUtil       []float64 // per-link utilization as of the last observe pass
 
 	// Metrics registry (SetMetrics): per-link time-weighted utilization
 	// histograms sampled at rate-recompute boundaries, plus flow/byte
@@ -749,12 +759,30 @@ func (n *Network) StartFlow(spec FlowSpec) *Flow {
 		f.latency = lat
 		n.buildRoute(f, spec.Links)
 	}
-	f.latEvent = n.sched.After(lat, func() {
-		f.latEvent = nil
-		n.activate(f)
-	})
+	f.armLatency(lat)
 	return f
 }
+
+// latencyExpiry is a flow's handler for the end of its latency stage:
+// the flow occupies its links.
+type latencyExpiry Flow
+
+func (x *latencyExpiry) Fire() {
+	f := (*Flow)(x)
+	f.net.activate(f)
+}
+
+// armLatency queues the flow's activation lat seconds from now.
+func (f *Flow) armLatency(lat float64) {
+	s := f.net.sched
+	s.Arm(&f.lat, s.Now()+lat, (*latencyExpiry)(f))
+}
+
+// RoutesResolved counts the routes the network has deduplicated and
+// filtered: one per PrepareRoute call and one per flow started or
+// re-admitted on a raw route. A hot path that replays prepared routes
+// keeps it flat.
+func (n *Network) RoutesResolved() uint64 { return n.routesResolved }
 
 // buildRoute resolves the route into the flow's link slices.
 func (n *Network) buildRoute(f *Flow, route []LinkID) {
@@ -767,6 +795,7 @@ func (n *Network) buildRoute(f *Flow, route []LinkID) {
 // engine iterates. Routes are short, so duplicates are found by linear
 // scan; only pathologically long routes pay for a map.
 func (n *Network) resolveRoute(route []LinkID) (links, finiteLinks []*Link) {
+	n.routesResolved++
 	if len(route) <= dedupThreshold {
 		uniq := 0
 		for i, id := range route {
@@ -892,10 +921,7 @@ func (f *Flow) Pause() {
 		f.state = FlowPaused
 		n.markDirty()
 	case FlowLatency:
-		if f.latEvent != nil {
-			n.sched.Cancel(f.latEvent)
-			f.latEvent = nil
-		}
+		n.sched.Cancel(&f.lat)
 		n.traceStage(f, "latency")
 		f.state = FlowPaused
 	}
@@ -910,10 +936,7 @@ func (f *Flow) Resume() {
 	n := f.net
 	n.traceStage(f, "paused")
 	f.state = FlowLatency
-	f.latEvent = n.sched.After(f.latency, func() {
-		f.latEvent = nil
-		n.activate(f)
-	})
+	f.armLatency(f.latency)
 }
 
 // Cancel abandons the flow without invoking its Done callback.
@@ -926,10 +949,7 @@ func (f *Flow) Cancel() {
 		n.traceStage(f, "active")
 		n.markDirty()
 	case FlowLatency:
-		if f.latEvent != nil {
-			n.sched.Cancel(f.latEvent)
-			f.latEvent = nil
-		}
+		n.sched.Cancel(&f.lat)
 		n.traceStage(f, "latency")
 	case FlowPaused:
 		n.traceStage(f, "paused")

@@ -61,12 +61,23 @@ const DefaultCancelCheckEvery = 4096
 // Infinity is a time later than any event the simulators schedule.
 const Infinity Time = math.MaxFloat64
 
+// Handler is an event's callback. A hot path implements Fire on an
+// object it already owns and embeds the Event there too (Arm), so
+// scheduling it allocates nothing.
+type Handler interface{ Fire() }
+
+// funcHandler adapts a plain callback to Handler; a func value is
+// pointer-shaped, so the conversion does not allocate.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
+
 // Event is a scheduled callback. It is returned by Scheduler.At so the
-// caller can cancel it before it fires.
+// caller can cancel it before it fires. A zero Event is ready for Arm.
 type Event struct {
 	when   Time
 	seq    uint64
-	fn     func()
+	h      Handler
 	index  int // heap index; -1 once removed
 	cancel bool
 	// depth is the event's causal depth when causal tracking is on: one
@@ -83,8 +94,8 @@ func (e *Event) Canceled() bool { return e.cancel }
 
 // Pending reports whether the event is currently queued to fire. An
 // event that has fired, or been canceled, is not pending (it may be
-// re-armed with Reschedule).
-func (e *Event) Pending() bool { return e.index >= 0 }
+// re-armed with Reschedule). A zero Event is not pending.
+func (e *Event) Pending() bool { return e.h != nil && e.index >= 0 }
 
 type eventQueue []*Event
 
@@ -235,45 +246,35 @@ func (s *Scheduler) Pending() int { return len(s.queue) }
 // panics: it always indicates a simulator bug rather than a recoverable
 // condition.
 func (s *Scheduler) At(t Time, fn func()) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", t, s.now))
-	}
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	e := &Event{when: t, seq: s.seq, fn: fn}
-	s.seq++
-	if s.causal {
-		s.stampDepth(e)
-	}
-	heap.Push(&s.queue, e)
+	e := &Event{}
+	s.Arm(e, t, funcHandler(fn))
 	return e
 }
 
-// After schedules fn to run d seconds from now.
-func (s *Scheduler) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %g", d))
+// Arm schedules the caller-owned event e to fire h at absolute time t
+// with a fresh insertion sequence, exactly as At would schedule a new
+// event; a pending e is moved in place. Objects that wait on one event
+// at a time (a network flow's latency stage) embed it and implement
+// Handler, so arming allocates nothing.
+func (s *Scheduler) Arm(e *Event, t Time, h Handler) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", t, s.now))
 	}
-	return s.At(s.now+d, fn)
+	if h == nil {
+		panic("sim: nil event handler")
+	}
+	if e.h == nil {
+		e.index = -1 // a zero Event has never been queued
+	}
+	e.h = h
+	s.enqueue(e, t)
 }
 
-// Reschedule re-arms e to fire at absolute time t with a fresh
-// insertion sequence, exactly as if the event had been Canceled and a
-// new one created with At(t, fn) for the same callback — but without
-// allocating. Pending events are moved in place; fired or canceled
-// events are re-enqueued. The event must have been produced by At or
-// After. Hot paths that re-time one event per state change (the
-// network simulator's flow-completion events) use this to stay
-// allocation-free while preserving the (time, seq) tie-break order a
-// cancel-and-recreate would produce.
-func (s *Scheduler) Reschedule(e *Event, t Time) {
-	if e == nil || e.fn == nil {
-		panic("sim: Reschedule of nil or uninitialized event")
-	}
-	if t < s.now {
-		panic(fmt.Sprintf("sim: rescheduling event at %g before now %g", t, s.now))
-	}
+// enqueue (re)inserts e at time t with a fresh sequence number.
+func (s *Scheduler) enqueue(e *Event, t Time) {
 	e.when = t
 	e.seq = s.seq
 	s.seq++
@@ -288,10 +289,37 @@ func (s *Scheduler) Reschedule(e *Event, t Time) {
 	}
 }
 
-// Cancel removes a pending event. Canceling an already-fired or
-// already-canceled event is a no-op.
+// After schedules fn to run d seconds from now.
+func (s *Scheduler) After(d Time, fn func()) *Event {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %g", d))
+	}
+	return s.At(s.now+d, fn)
+}
+
+// Reschedule re-arms e to fire at absolute time t with a fresh
+// insertion sequence, exactly as if the event had been Canceled and a
+// new one created with At(t, fn) for the same callback — but without
+// allocating. Pending events are moved in place; fired or canceled
+// events are re-enqueued. The event must have been produced by At,
+// After or Arm. Hot paths that re-time one event per state change (the
+// network simulator's flow-completion events) use this to stay
+// allocation-free while preserving the (time, seq) tie-break order a
+// cancel-and-recreate would produce.
+func (s *Scheduler) Reschedule(e *Event, t Time) {
+	if e == nil || e.h == nil {
+		panic("sim: Reschedule of nil or uninitialized event")
+	}
+	if t < s.now {
+		panic(fmt.Sprintf("sim: rescheduling event at %g before now %g", t, s.now))
+	}
+	s.enqueue(e, t)
+}
+
+// Cancel removes a pending event. Canceling an already-fired,
+// already-canceled or never-armed event is a no-op.
 func (s *Scheduler) Cancel(e *Event) {
-	if e == nil || e.cancel || e.index < 0 {
+	if e == nil || e.cancel || !e.Pending() {
 		if e != nil {
 			e.cancel = true
 		}
@@ -325,10 +353,10 @@ func (s *Scheduler) Step() bool {
 	s.fired++
 	if s.causal {
 		s.current = e
-		e.fn()
+		e.h.Fire()
 		s.current = nil
 	} else {
-		e.fn()
+		e.h.Fire()
 	}
 	if s.hook != nil {
 		s.hook(s.now, s.fired)

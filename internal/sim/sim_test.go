@@ -535,3 +535,41 @@ func TestSetEventHook(t *testing.T) {
 		t.Fatalf("hook fired after detach: %v", got)
 	}
 }
+
+type countHandler struct{ n int }
+
+func (c *countHandler) Fire() { c.n++ }
+
+// A zero Event is idle until armed, and re-arming reuses it in place.
+func TestArmZeroEvent(t *testing.T) {
+	s := NewScheduler()
+	var e Event
+	if e.Pending() {
+		t.Fatal("zero event reports pending")
+	}
+	s.Cancel(&e) // no-op on a never-armed event
+	h := &countHandler{}
+	s.Arm(&e, 1, h)
+	if !e.Pending() || e.When() != 1 {
+		t.Fatalf("armed event: pending %v at %g", e.Pending(), e.When())
+	}
+	s.Arm(&e, 2, h) // moves the queued event instead of adding another
+	if s.Pending() != 1 {
+		t.Fatalf("re-armed event queued %d times", s.Pending())
+	}
+	s.Run()
+	if h.n != 1 || s.Now() != 2 {
+		t.Fatalf("fired %d times, clock %g; want once at 2", h.n, s.Now())
+	}
+	s.Arm(&e, 3, h)
+	s.Run()
+	if h.n != 2 || s.Now() != 3 {
+		t.Fatalf("re-armed after firing: fired %d times, clock %g", h.n, s.Now())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Arm(&e, s.Now()+1, h)
+		s.Run()
+	}); allocs != 0 {
+		t.Fatalf("arming a caller-owned event allocates %.0f objects", allocs)
+	}
+}

@@ -55,6 +55,16 @@ func (e *engine) runStreaming() (*Report, error) {
 		}
 		return 2*G - 1 - i
 	}
+	// Every load and store of an IOC rides the same tree, so each tree
+	// is resolved once per iteration. The trees are fixed by the wafer
+	// and faults never move a link between finite and infinite
+	// bandwidth, so the prepared routes stay valid all iteration.
+	loadTrees := make([]*netsim.PreparedRoute, nIOC)
+	storeTrees := make([]*netsim.PreparedRoute, nIOC)
+	for ioc := range loadTrees {
+		loadTrees[ioc] = e.net.PrepareRoute(w.IOCLoadTree(ioc))
+		storeTrees[ioc] = e.net.PrepareRoute(w.IOCStoreTree(ioc))
+	}
 	loaded := make([]*signal, nLoads)
 	computeDone := make([]*signal, nLoads)
 	for i := range loaded {
@@ -72,19 +82,20 @@ func (e *engine) runStreaming() (*Report, error) {
 		begin := func() {
 			bytes := groupBytes(loadGroup(i)) / float64(nIOC)
 			remaining := nIOC
+			done := func(f *netsim.Flow) {
+				remaining--
+				if remaining == 0 {
+					loaded[i].fireFlow(f)
+					startLoad(i + 1)
+				}
+			}
 			for ioc := 0; ioc < nIOC; ioc++ {
 				e.net.StartFlow(netsim.FlowSpec{
-					Links:   w.IOCLoadTree(ioc),
-					Bytes:   bytes,
-					Latency: -1,
-					Label:   "weight-load",
-					Done: func(f *netsim.Flow) {
-						remaining--
-						if remaining == 0 {
-							loaded[i].fireFlow(f)
-							startLoad(i + 1)
-						}
-					},
+					Prepared: loadTrees[ioc],
+					Bytes:    bytes,
+					Latency:  -1,
+					Label:    "weight-load",
+					Done:     done,
 				})
 			}
 		}
@@ -99,16 +110,17 @@ func (e *engine) runStreaming() (*Report, error) {
 	// the unique (post-reduction) gradient volume leaves once, striped
 	// across the controllers.
 	storesOutstanding := 0
+	storeDone := func(*netsim.Flow) { storesOutstanding-- }
 	startStore := func(g int) {
 		bytes := groupBytes(g) / float64(nIOC)
 		for ioc := 0; ioc < nIOC; ioc++ {
 			storesOutstanding++
 			e.net.StartFlow(netsim.FlowSpec{
-				Links:   w.IOCStoreTree(ioc),
-				Bytes:   bytes,
-				Latency: -1,
-				Label:   "grad-store",
-				Done:    func(*netsim.Flow) { storesOutstanding-- },
+				Prepared: storeTrees[ioc],
+				Bytes:    bytes,
+				Latency:  -1,
+				Label:    "grad-store",
+				Done:     storeDone,
 			})
 		}
 	}
@@ -289,6 +301,20 @@ func (e *engine) runStreaming() (*Report, error) {
 		t0 := e.sched.Now()
 		bytes := float64(cfg.Minibatch()) * model.SampleBytes / float64(w.NPUCount())
 		remaining := w.NPUCount()
+		done := func(f *netsim.Flow) {
+			remaining--
+			if remaining == 0 {
+				now := e.sched.Now()
+				blocked[ClassLoad] += now - t0
+				if e.crit != nil && now > t0 {
+					chain.add(critpath.KindWait, ClassLoad.String(), "input-load",
+						t0, now, critpath.ClampBlame(now-t0, f.ContentionStall(), f.FaultTime()),
+						f.BindLinkName(), 0)
+				}
+				startLoad(0)
+				beginCompute()
+			}
+		}
 		for npu := 0; npu < w.NPUCount(); npu++ {
 			ioc := w.NearestIOC(npu)
 			e.net.StartFlow(netsim.FlowSpec{
@@ -296,20 +322,7 @@ func (e *engine) runStreaming() (*Report, error) {
 				Bytes:   bytes,
 				Latency: -1,
 				Label:   "input-load",
-				Done: func(f *netsim.Flow) {
-					remaining--
-					if remaining == 0 {
-						now := e.sched.Now()
-						blocked[ClassLoad] += now - t0
-						if e.crit != nil && now > t0 {
-							chain.add(critpath.KindWait, ClassLoad.String(), "input-load",
-								t0, now, critpath.ClampBlame(now-t0, f.ContentionStall(), f.FaultTime()),
-								f.BindLinkName(), 0)
-						}
-						startLoad(0)
-						beginCompute()
-					}
-				},
+				Done:    done,
 			})
 		}
 	} else {

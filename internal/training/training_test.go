@@ -506,3 +506,24 @@ func TestScheduleStrings(t *testing.T) {
 		t.Fatal("schedule names")
 	}
 }
+
+// Weight streaming resolves each controller's load and store trees
+// once per iteration and replays them for every layer group, so a
+// streaming iteration without collectives (MP = PP = 1) resolves
+// exactly two routes per I/O controller.
+func TestStreamingResolvesTreesOncePerIOC(t *testing.T) {
+	w := newFred(topology.FredD)
+	m := workload.GPT3()
+	if _, err := Simulate(Config{
+		Wafer:               w,
+		Model:               m,
+		Strategy:            parallelism.Strategy{MP: 1, DP: 10, PP: 1},
+		MinibatchPerReplica: 16,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.Network().RoutesResolved(), uint64(2*w.IOCCount()); got != want {
+		t.Fatalf("streaming iteration resolved %d routes over %d layers, want %d (two per IOC)",
+			got, len(m.Layers), want)
+	}
+}
