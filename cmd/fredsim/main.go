@@ -6,27 +6,9 @@
 //	fredsim <experiment> [-ab] [-csv] [-parallel N] [-trace out.json]
 //	        [-linkstats] [-cpuprofile out.pprof]
 //
-// Experiments:
-//
-//	fig2       Figure 2: Transformer-17B strategies on the baseline mesh
-//	fig9       Figure 9: communication microbenchmarks per fabric
-//	fig10      Figure 10: end-to-end training, all workloads (-ab adds Fred-A/B)
-//	fig11a     Figure 11(a): Transformer-17B strategy sweep, baseline vs Fred-D
-//	fig11b     Figure 11(b): Transformer-1T strategy sweep
-//	meshio     Section 3.2.1: mesh I/O hotspot law
-//	placement  Figure 5: device placement trade-off
-//	nonaligned Figure 6: non-aligned strategy congestion + heatmap
-//	scaling    extension: wafer-size scaling, mesh vs FRED tree
-//	scaleout   extension: hierarchical multi-wafer scale-out — global
-//	           all-reduce and sharded rate-engine work vs NPU count
-//	inference  future work: auto-regressive decode latency
-//	hw         Tables 3-5: physical parameters and FRED overhead
-//	ablations  design-choice ablations (m, rings, buckets, bisection,
-//	           placement search, multi-wafer)
-//	ep         extension: beyond-3D parallelism (Expert Parallelism)
-//	faults     robustness: FRED-vs-mesh graceful degradation under
-//	           injected µswitch/link failures
-//	all        everything above
+// The experiments, in the order `fredsim all` runs them, are listed
+// with a one-line description by the usage text (fredsim with no
+// arguments); the list is generated from experiments.Studies.
 //
 // The experiment may also be named with -study (fredsim -study faults).
 // A failing experiment cell no longer aborts the whole run: the other
@@ -90,25 +72,10 @@ import (
 	"os"
 	"strings"
 
-	"github.com/wafernet/fred/internal/critpath"
 	"github.com/wafernet/fred/internal/experiments"
 	"github.com/wafernet/fred/internal/metrics"
-	"github.com/wafernet/fred/internal/obs"
-	"github.com/wafernet/fred/internal/parallelism"
 	"github.com/wafernet/fred/internal/report"
-	"github.com/wafernet/fred/internal/timeseries"
-	"github.com/wafernet/fred/internal/trace"
 )
-
-// studyNames lists every experiment fredsim accepts, in usage order.
-// The unknown-study error prints this list, so a typo tells the user
-// what would have worked.
-var studyNames = []string{
-	"fig1", "fig2", "fig9", "fig10", "fig11a", "fig11b", "meshio",
-	"placement", "nonaligned", "scaling", "scaleout", "inference",
-	"crossover", "batch", "profile", "packets", "heat", "hw",
-	"ablations", "ep", "faults", "summary", "all",
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -121,56 +88,32 @@ func main() {
 // flag, unknown experiment, or missing argument, always with usage on
 // stderr.
 func run(args []string, stdout, stderr io.Writer) int {
-	// The experiment is named positionally (fredsim faults ...) or with
-	// the -study alias (fredsim -study faults ...); either way the
-	// remaining arguments go to the per-experiment flag set.
-	cmd := ""
-	switch {
-	case len(args) >= 1 && strings.HasPrefix(args[0], "-study="):
-		cmd = strings.TrimPrefix(args[0], "-study=")
-		args = args[1:]
-	case len(args) >= 2 && (args[0] == "-study" || args[0] == "--study"):
-		cmd = args[1]
-		args = args[2:]
-	case len(args) >= 1 && !strings.HasPrefix(args[0], "-"):
-		cmd = args[0]
-		args = args[1:]
-	}
+	cmd, args := splitExperiment(args)
 	if cmd == "" {
+		usage(stderr)
+		return 2
+	}
+	var studies []experiments.Study
+	if cmd == "all" {
+		studies = experiments.Studies
+	} else if st, ok := experiments.LookupStudy(cmd); ok {
+		studies = []experiments.Study{st}
+	} else {
+		fmt.Fprintf(stderr, "fredsim: unknown experiment %q (valid: %s)\n\n",
+			cmd, strings.Join(studyNames(), " "))
 		usage(stderr)
 		return 2
 	}
 	includeAB := false
 	csv := false
 	parallel := 0
-	tracePath := ""
-	linkStats := false
-	metricsPath := ""
-	critPathOut := ""
-	tsPath := ""
-	progress := false
-	debugAddr := ""
-	cpuProfile := ""
-	memProfile := ""
-	mutexProfile := ""
-	noSchedCache := false
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() { usage(stderr) }
 	fs.BoolVar(&includeAB, "ab", false, "include Fred-A and Fred-B in fig10")
 	fs.BoolVar(&csv, "csv", false, "emit CSV instead of aligned tables")
 	fs.IntVar(&parallel, "parallel", 0, "worker-pool size for independent cells (0 = GOMAXPROCS, 1 = sequential)")
-	fs.StringVar(&tracePath, "trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
-	fs.BoolVar(&linkStats, "linkstats", false, "report top-10 link hotspots per training run")
-	fs.StringVar(&metricsPath, "metrics", "", "write a fred-metrics JSON artifact (manifest + all series) to this file")
-	fs.StringVar(&critPathOut, "critpath", "", "write a fred-critpath JSON artifact (per-iteration blame decomposition) to this file")
-	fs.StringVar(&tsPath, "timeseries", "", "write a fred-timeseries JSON artifact (flight-recorder load series per simulation) to this file")
-	fs.BoolVar(&progress, "progress", false, "show a live status line (cells done/total, elapsed, ETA) on stderr")
-	fs.StringVar(&debugAddr, "debug-addr", "", "serve the debug HTTP endpoint (/progress, /progress/stream, /debug/vars, /debug/pprof) on this host:port")
-	fs.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile of the simulator to this file")
-	fs.StringVar(&memProfile, "memprofile", "", "write an end-of-run heap profile to this file")
-	fs.StringVar(&mutexProfile, "mutexprofile", "", "write an end-of-run mutex-contention profile to this file")
-	fs.BoolVar(&noSchedCache, "noschedcache", false, "disable the cross-cell compiled-schedule cache (results are byte-identical either way)")
+	artifacts := experiments.NewArtifactFlags(fs, "fredsim")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -182,43 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	session := experiments.NewSession()
 	session.SetParallel(parallel)
-	if noSchedCache {
-		session.ShareSchedules(false)
-	}
-	var rec *trace.Recorder
-	if tracePath != "" {
-		rec = trace.NewRecorder()
-		rec.SetProcessName("fredsim " + cmd)
-		session.SetTracer(rec)
-	}
-	if linkStats {
-		session.CollectLinkStats(true)
-	}
-	if metricsPath != "" {
-		session.CollectMetrics(true)
-	}
-	if critPathOut != "" {
-		session.CollectCritPath(true)
-	}
-	if tsPath != "" {
-		session.CollectTimeseries(true)
-	}
-	var status *obs.StatusLine
-	if progress || debugAddr != "" {
-		engine := obs.NewEngine(nil)
-		session.SetProgress(engine)
-		if progress {
-			status = obs.NewStatusLine(stderr, "fredsim")
-			engine.OnUpdate(status.Update)
-		}
-		if debugAddr != "" {
-			if _, err := obs.StartServer(debugAddr, engine, stderr); err != nil {
-				fmt.Fprintln(stderr, "fredsim:", err)
-				return 1
-			}
-		}
-	}
-	stopProfiles, err := report.StartProfiles(cpuProfile, memProfile, mutexProfile)
+	stopProfiles, err := artifacts.Start(session, "fredsim "+cmd, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "fredsim:", err)
 		return 1
@@ -235,102 +142,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-
-	runStudy := func(name string) bool {
-		switch name {
-		case "fig1":
-			emit(experiments.Figure1(parallelism.Strategy{MP: 4, DP: 3, PP: 2}))
-		case "fig2":
-			_, tbl := session.Figure2()
-			emit(tbl)
-		case "fig9":
-			_, tbl := session.Figure9()
-			emit(tbl)
-		case "fig10":
-			_, tbl := session.Figure10(includeAB)
-			emit(tbl)
-		case "fig11a":
-			_, tbl := session.Figure11a()
-			emit(tbl)
-		case "fig11b":
-			_, tbl := session.Figure11b()
-			emit(tbl)
-		case "meshio":
-			_, tbl := session.MeshIOStudy()
-			emit(tbl)
-		case "placement":
-			_, tbl := session.PlacementStudy()
-			emit(tbl)
-		case "nonaligned":
-			_, tbl := session.NonAlignedStudy()
-			emit(tbl)
-		case "scaling":
-			_, tbl := session.ScalabilityStudy()
-			emit(tbl)
-		case "scaleout":
-			_, tbl := session.ScaleOutStudy()
-			emit(tbl)
-		case "inference":
-			_, tbl := session.InferenceStudy()
-			emit(tbl)
-		case "summary":
-			_, tbl := session.Summary()
-			emit(tbl)
-		case "heat":
-			_, tbl := session.TrainingHeatmap(parallelism.Strategy{MP: 3, DP: 3, PP: 2})
-			emit(tbl)
-		case "packets":
-			_, tbl := session.PacketValidation()
-			emit(tbl)
-		case "batch":
-			_, tbl := session.BatchSensitivity()
-			emit(tbl)
-		case "profile":
-			emit(session.CommProfile(experiments.Baseline), session.CommProfile(experiments.FredD))
-		case "crossover":
-			_, tbl := session.CrossoverStudy()
-			emit(tbl)
-		case "ep":
-			_, tbl := session.EPStudy()
-			emit(tbl)
-		case "faults":
-			_, tbl := session.FaultSweep()
-			emit(tbl)
-		case "hw":
-			emit(experiments.HWTables()...)
-		case "ablations":
-			_, t1 := session.MiddleStageAblation()
-			_, t2 := session.RingDirectionAblation()
-			_, t3 := session.GradBucketAblation()
-			_, t4 := session.BisectionSweep()
-			_, t5 := session.MultiWaferStudy()
-			_, t6 := session.PlacementSearchAblation()
-			_, t7 := session.ScheduleAblation()
-			emit(t1, t2, t3, t4, t5, t6, t7)
-		default:
-			return false
-		}
-		return true
+	for _, st := range studies {
+		emit(st.Run(session, includeAB)...)
 	}
-
-	if cmd == "all" {
-		for _, name := range []string{
-			"hw", "fig1", "meshio", "placement", "nonaligned", "fig2", "fig9",
-			"fig10", "fig11a", "fig11b", "scaling", "scaleout", "inference", "crossover", "batch", "profile", "packets", "heat", "ablations", "ep", "faults", "summary",
-		} {
-			if !runStudy(name) {
-				panic("internal: unknown experiment " + name)
-			}
-		}
-	} else if !runStudy(cmd) {
-		fmt.Fprintf(stderr, "fredsim: unknown experiment %q (valid: %s)\n\n",
-			cmd, strings.Join(studyNames, " "))
-		usage(stderr)
-		return 2
-	}
-	if status != nil {
-		status.Done()
-	}
+	artifacts.Done()
 
 	// A panicking or failing cell no longer kills the run: forEach
 	// recovers it, the surviving cells complete, and the aggregate
@@ -341,61 +156,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exitCode = 1
 	}
 
-	if linkStats {
+	if artifacts.LinkStats {
 		emit(session.LinkStatsTables()...)
 	}
-	// The manifest records what was simulated, never how the work was
-	// scheduled (-parallel, file paths), so artifacts from any pool size
-	// compare byte-for-byte.
 	command := cmd
 	if includeAB {
 		command += " -ab"
 	}
-	if metricsPath != "" {
-		art := session.Metrics().Export(metrics.Manifest{
-			Tool:    "fredsim",
-			Command: command,
-		})
-		if err := art.WriteFile(metricsPath); err != nil {
-			fmt.Fprintln(stderr, "fredsim:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "fredsim: wrote %d metric series to %s\n",
-			len(art.Series), metricsPath)
-	}
-	if critPathOut != "" {
-		art := critpath.Export(metrics.Manifest{
-			Tool:    "fredsim",
-			Command: command,
-		}, session.CritPathCells())
-		if err := art.WriteFile(critPathOut); err != nil {
-			fmt.Fprintln(stderr, "fredsim:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "fredsim: wrote %d critical-path iterations to %s\n",
-			len(art.Cells), critPathOut)
-	}
-	if tsPath != "" {
-		art := timeseries.Export(metrics.Manifest{
-			Tool:    "fredsim",
-			Command: command,
-		}, session.TimeseriesCells())
-		if err := art.WriteFile(tsPath); err != nil {
-			fmt.Fprintln(stderr, "fredsim:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "fredsim: wrote %d flight-recorder cells to %s\n",
-			len(art.Cells), tsPath)
-	}
-	if rec != nil {
-		if err := rec.WriteFile(tracePath); err != nil {
-			fmt.Fprintln(stderr, "fredsim:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "fredsim: wrote %d trace events (%d spans) to %s\n",
-			rec.Len(), rec.Spans(), tracePath)
+	if err := artifacts.Write(session, metrics.Manifest{Tool: "fredsim", Command: command}, stderr); err != nil {
+		fmt.Fprintln(stderr, "fredsim:", err)
+		return 1
 	}
 	return exitCode
+}
+
+// splitExperiment separates the experiment name from the flags that
+// follow it. The name comes positionally (fredsim faults ...) or from
+// the -study alias in any of the spellings the flag package accepts:
+// -study x, -study=x, --study x, --study=x. It returns "" when no
+// experiment is named.
+func splitExperiment(args []string) (string, []string) {
+	if len(args) == 0 {
+		return "", nil
+	}
+	arg := args[0]
+	if !strings.HasPrefix(arg, "-") {
+		return arg, args[1:]
+	}
+	if strings.HasPrefix(arg, "--") {
+		arg = arg[1:]
+	}
+	if name, ok := strings.CutPrefix(arg, "-study="); ok {
+		return name, args[1:]
+	}
+	if arg == "-study" && len(args) >= 2 {
+		return args[1], args[2:]
+	}
+	return "", args
+}
+
+// studyNames lists every experiment fredsim accepts, in `all` order.
+func studyNames() []string {
+	names := make([]string, 0, len(experiments.Studies)+1)
+	for _, st := range experiments.Studies {
+		names = append(names, st.Name)
+	}
+	return append(names, "all")
 }
 
 func usage(w io.Writer) {
@@ -406,5 +212,9 @@ func usage(w io.Writer) {
                [-mutexprofile out.pprof]
        fredsim -study <experiment> [flags]
 
-experiments: `+strings.Join(studyNames, " "))
+experiments:`)
+	for _, st := range experiments.Studies {
+		fmt.Fprintf(w, "  %-11s %s\n", st.Name, st.Desc)
+	}
+	fmt.Fprintf(w, "  %-11s %s\n", "all", "every experiment above, in this order")
 }

@@ -2,12 +2,39 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/wafernet/fred/internal/experiments"
 	"github.com/wafernet/fred/internal/timeseries"
 )
+
+// Both the usage text and the unknown-experiment error name every
+// study and "all", so a typo tells the user what would have worked.
+func TestUsageAndErrorListEveryStudy(t *testing.T) {
+	var usageOut, errOut bytes.Buffer
+	usage(&usageOut)
+	if code := run([]string{"fig999"}, io.Discard, &errOut); code != 2 {
+		t.Fatalf("unknown experiment exit = %d, want 2", code)
+	}
+	_, valid, _ := strings.Cut(errOut.String(), "(valid: ")
+	valid, _, _ = strings.Cut(valid, ")")
+	validNames := " " + valid + " "
+	names := []string{"all"}
+	for _, st := range experiments.Studies {
+		names = append(names, st.Name)
+	}
+	for _, name := range names {
+		if !strings.Contains(usageOut.String(), "\n  "+name+" ") {
+			t.Errorf("usage does not list %q", name)
+		}
+		if !strings.Contains(validNames, " "+name+" ") {
+			t.Errorf("unknown-experiment error %q does not list %q", errOut.String(), name)
+		}
+	}
+}
 
 // TestRunExitCodes: the CLI error conventions — unknown experiment,
 // unknown flag, or missing argument exit 2 with usage on stderr.
@@ -24,6 +51,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown flag", []string{"fig1", "-bogus"}, 2, "flag provided but not defined"},
 		{"trailing argument", []string{"fig1", "-csv", "extra"}, 2, `unexpected argument "extra"`},
 		{"valid cheap experiment", []string{"fig1"}, 0, ""},
+		{"-study=fig1", []string{"-study=fig1"}, 0, ""},
+		{"--study fig1", []string{"--study", "fig1"}, 0, ""},
+		{"--study=fig1", []string{"--study=fig1"}, 0, ""},
+		{"empty -study=", []string{"-study="}, 2, "usage: fredsim"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -38,16 +38,11 @@ import (
 	"strings"
 
 	fredapi "github.com/wafernet/fred"
-	"github.com/wafernet/fred/internal/critpath"
 	"github.com/wafernet/fred/internal/experiments"
 	"github.com/wafernet/fred/internal/metrics"
 	"github.com/wafernet/fred/internal/obs"
-	"github.com/wafernet/fred/internal/report"
-	"github.com/wafernet/fred/internal/sim"
-	"github.com/wafernet/fred/internal/timeseries"
 	"github.com/wafernet/fred/internal/trace"
 	"github.com/wafernet/fred/internal/training"
-	"github.com/wafernet/fred/internal/workload"
 )
 
 func main() {
@@ -75,16 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	schedule := fs.String("schedule", "gpipe", "pipeline schedule: gpipe or 1f1b")
 	buckets := fs.Int("buckets", 1, "DP gradient buckets (overlap granularity)")
 	profile := fs.Bool("profile", false, "print the per-class communication profile")
-	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
-	linkStats := fs.Bool("linkstats", false, "print the top-10 link hotspots of the run")
-	metricsPath := fs.String("metrics", "", "write a fred-metrics JSON artifact (manifest + all series) to this file")
-	critPathOut := fs.String("critpath", "", "write a fred-critpath JSON artifact (per-iteration blame decomposition) to this file")
-	tsPath := fs.String("timeseries", "", "write a fred-timeseries JSON artifact (flight-recorder load series) to this file")
-	progress := fs.Bool("progress", false, "show a live status line on stderr")
-	debugAddr := fs.String("debug-addr", "", "serve the debug HTTP endpoint (/progress, /progress/stream, /debug/vars, /debug/pprof) on this host:port")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
-	memProfile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
-	mutexProfile := fs.String("mutexprofile", "", "write an end-of-run mutex-contention profile to this file")
+	artifacts := experiments.NewArtifactFlags(fs, "fredtrain")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -94,9 +80,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	m, err := lookupModel(*modelName)
+	m, err := experiments.LookupModel(strings.ToLower(*modelName))
 	if err != nil {
-		fmt.Fprintln(stderr, "fredtrain:", err)
+		fmt.Fprintf(stderr, "fredtrain: unknown model %q (%s)\n", *modelName, experiments.ModelNames)
 		fs.Usage()
 		return 2
 	}
@@ -116,108 +102,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if !validSystem(*system) {
-		fmt.Fprintf(stderr, "fredtrain: unknown system %q (Baseline, Fred-A, Fred-B, Fred-C, Fred-D)\n", *system)
+	sys, err := experiments.LookupSystem(*system)
+	if err != nil {
+		fmt.Fprintln(stderr, "fredtrain:", err)
 		fs.Usage()
 		return 2
 	}
 
-	stopProfiles, err := report.StartProfiles(*cpuProfile, *memProfile, *mutexProfile)
+	// The session wires the observability hooks (tracer namespace,
+	// scheduler counter, link telemetry, flight recorder) into the
+	// build and records the run's artifacts.
+	session := experiments.NewSession()
+	stopProfiles, err := artifacts.Start(session, fmt.Sprintf("fredtrain %s %s", m.Name, sys), stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "fredtrain:", err)
 		return 1
 	}
 	defer stopProfiles()
-
-	// The session wires the observability hooks (tracer namespace,
-	// scheduler counter, link telemetry, flight recorder) into the
-	// build.
-	session := experiments.NewSession()
-	var rec *trace.Recorder
-	if *tracePath != "" {
-		rec = trace.NewRecorder()
-		rec.SetProcessName(fmt.Sprintf("fredtrain %s %s", m.Name, *system))
-		session.SetTracer(rec)
-	}
-	if *linkStats {
-		session.CollectLinkStats(true)
-	}
-	if *metricsPath != "" {
-		session.CollectMetrics(true)
-	}
-	if *critPathOut != "" {
-		// Through the session rather than a post-Build SetCritPath, so
-		// the flight recorder (attached at Build time) sees the blame
-		// probes.
-		session.CollectCritPath(true)
-	}
-	if *tsPath != "" {
-		session.CollectTimeseries(true)
-	}
-	var engine *obs.Engine
-	var status *obs.StatusLine
+	// fredtrain is one simulation: a single-cell "study" driven
+	// directly rather than through the session's forEach.
+	engine := artifacts.Engine()
 	var tok *obs.Cell
-	if *progress || *debugAddr != "" {
-		engine = obs.NewEngine(nil)
-		if *progress {
-			status = obs.NewStatusLine(stderr, "fredtrain")
-			engine.OnUpdate(status.Update)
-		}
-		if *debugAddr != "" {
-			if _, err := obs.StartServer(*debugAddr, engine, stderr); err != nil {
-				fmt.Fprintln(stderr, "fredtrain:", err)
-				return 1
-			}
-		}
-		// fredtrain is one simulation: a single-cell "study" driven
-		// directly rather than through the session's forEach.
-		engine.StudyStarted(m.Name+" on "+*system, 1)
-		tok = engine.CellStarted(m.Name+" on "+*system, 0)
+	if engine != nil {
+		cell := m.Name + " on " + *system
+		engine.StudyStarted(cell, 1)
+		tok = engine.CellStarted(cell, 0)
+		session.ObserveCell(tok)
 	}
-	wafer := session.Build(experiments.System(*system))
-	net := wafer.Network()
-	if tok != nil {
-		net.Scheduler().AddEventHook(func(now sim.Time, fired uint64) {
-			if fired%4096 == 0 {
-				tok.SetSimTime(now)
-			}
-		})
-	}
-	cfg := training.Config{
-		Wafer:               wafer,
+	r, err := session.Train(sys, training.Config{
 		Model:               m,
 		Strategy:            strat,
 		MinibatchPerReplica: *batch,
 		GradBuckets:         *buckets,
 		Schedule:            sched,
-	}
-	if rec != nil {
-		cfg.Tracer = rec
-	}
-	r, err := training.Simulate(cfg)
+	})
 	if tok != nil {
-		tok.SetSimTime(net.Scheduler().Now())
 		engine.CellFinished(tok, err != nil)
-		if status != nil {
-			status.Done()
-		}
+		artifacts.Done()
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "fredtrain:", err)
 		return 1
 	}
-	if ts := net.Timeseries(); ts != nil {
-		ts.Finish(net.Scheduler().Now())
-	}
-	if rec != nil {
+	if rec := artifacts.Recorder(); rec != nil {
 		rec.Span("train", "iteration", 0, r.Total,
 			trace.String("model", m.Name), trace.String("system", *system))
-		if err := rec.WriteFile(*tracePath); err != nil {
-			fmt.Fprintln(stderr, "fredtrain:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "fredtrain: wrote %d trace events (%d spans) to %s\n",
-			rec.Len(), rec.Spans(), *tracePath)
 	}
 
 	fmt.Fprintf(stdout, "%s on %s, %v, %d samples/replica, %s schedule\n",
@@ -231,6 +160,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *profile {
 		fmt.Fprintf(stdout, "\ncommunication profile:\n%s", r.Comm)
 	}
+	if artifacts.CritPath != "" {
+		if r.CritPath == nil {
+			fmt.Fprintln(stderr, "fredtrain: no critical path recorded")
+			return 1
+		}
+		it := r.CritPath
+		fmt.Fprintf(stdout, "critical path: compute %.4gs  comm-ser %.4gs  comm-cont %.4gs  fault %.4gs  idle %.4gs\n",
+			it.Compute, it.CommSerial, it.CommContention, it.FaultRecovery, it.Idle)
+	}
+	for _, t := range session.LinkStatsTables() {
+		fmt.Fprintf(stdout, "\n%s", t)
+	}
 	manifest := metrics.Manifest{
 		Tool:            "fredtrain",
 		Workload:        m.Name,
@@ -239,72 +180,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		BatchPerReplica: *batch,
 		Schedule:        sched.String(),
 	}
-	if *metricsPath != "" {
-		net.FlushMetrics()
-		r.RecordMetrics(net.Metrics())
-		art := session.Metrics().Export(manifest)
-		if err := art.WriteFile(*metricsPath); err != nil {
-			fmt.Fprintln(stderr, "fredtrain:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "fredtrain: wrote %d metric series to %s\n",
-			len(art.Series), *metricsPath)
-	}
-	if *critPathOut != "" {
-		if r.CritPath == nil {
-			fmt.Fprintln(stderr, "fredtrain: no critical path recorded")
-			return 1
-		}
-		it := *r.CritPath
-		it.Label = fmt.Sprintf("%s %v on %s", m.Name, strat, *system)
-		fmt.Fprintf(stdout, "critical path: compute %.4gs  comm-ser %.4gs  comm-cont %.4gs  fault %.4gs  idle %.4gs\n",
-			it.Compute, it.CommSerial, it.CommContention, it.FaultRecovery, it.Idle)
-		art := critpath.Export(manifest, []critpath.Iteration{it})
-		if err := art.WriteFile(*critPathOut); err != nil {
-			fmt.Fprintln(stderr, "fredtrain:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "fredtrain: wrote %d critical-path iterations to %s\n",
-			len(art.Cells), *critPathOut)
-	}
-	if *tsPath != "" {
-		art := timeseries.Export(manifest, session.TimeseriesCells())
-		if err := art.WriteFile(*tsPath); err != nil {
-			fmt.Fprintln(stderr, "fredtrain:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "fredtrain: wrote %d flight-recorder cells to %s\n",
-			len(art.Cells), *tsPath)
-	}
-	if *linkStats {
-		fmt.Fprintf(stdout, "\n%s", net.HotspotTable(
-			fmt.Sprintf("Link hotspots: %s, %v on %s", m.Name, strat, *system), 10))
+	if err := artifacts.Write(session, manifest, stderr); err != nil {
+		fmt.Fprintln(stderr, "fredtrain:", err)
+		return 1
 	}
 	return 0
-}
-
-// validSystem reports whether name is one of the Table 5 fabrics.
-func validSystem(name string) bool {
-	for _, s := range experiments.Systems() {
-		if string(s) == name {
-			return true
-		}
-	}
-	return false
-}
-
-func lookupModel(name string) (*workload.Model, error) {
-	switch strings.ToLower(name) {
-	case "resnet152", "resnet":
-		return workload.ResNet152(), nil
-	case "t17b", "transformer17b":
-		return workload.Transformer17B(), nil
-	case "gpt3":
-		return workload.GPT3(), nil
-	case "t1t", "transformer1t":
-		return workload.Transformer1T(), nil
-	}
-	return nil, fmt.Errorf("unknown model %q (resnet152, t17b, gpt3, t1t)", name)
 }
 
 func lookupSchedule(name string) (training.PipelineSchedule, error) {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"strings"
 	"testing"
 
 	fredapi "github.com/wafernet/fred"
@@ -11,14 +13,22 @@ import (
 	"github.com/wafernet/fred/internal/workload"
 )
 
+// fredtrain resolves -model through the shared exact-match lookup
+// after lower-casing it, so every alias is accepted in any case. The
+// model is checked before the system, so an accepted model gets as far
+// as the (cheap) unknown-system exit.
 func TestLookupModel(t *testing.T) {
 	for _, name := range []string{"resnet152", "t17b", "gpt3", "t1t", "RESNET", "Transformer17B"} {
-		if _, err := lookupModel(name); err != nil {
-			t.Errorf("lookupModel(%q): %v", name, err)
+		var stderr bytes.Buffer
+		if code := run([]string{"-model", name, "-system", "Fred-Z"}, io.Discard, &stderr); code != 2 ||
+			!strings.Contains(stderr.String(), `unknown system "Fred-Z"`) {
+			t.Errorf("-model %s: exit %d, stderr %q", name, code, stderr.String())
 		}
 	}
-	if _, err := lookupModel("bert"); err == nil {
-		t.Error("unknown model accepted")
+	var stderr bytes.Buffer
+	if code := run([]string{"-model", "bert"}, io.Discard, &stderr); code != 2 ||
+		!strings.Contains(stderr.String(), `unknown model "bert"`) {
+		t.Errorf("unknown model: exit %d, stderr %q", code, stderr.String())
 	}
 }
 
@@ -34,28 +44,23 @@ func TestLookupSchedule(t *testing.T) {
 	}
 }
 
-// trainArtifact runs the fredtrain metrics path (build under a
-// metrics-collecting session, simulate, flush, record, export) for a
-// given worker-pool size and returns the encoded artifact.
+// trainArtifact runs the fredtrain metrics path (one training run
+// under a metrics-collecting session, recorded and exported by the
+// session) for a given worker-pool size and returns the encoded
+// artifact.
 func trainArtifact(t *testing.T, parallel int) []byte {
 	t.Helper()
-	m, _ := lookupModel("t17b")
+	m, _ := experiments.LookupModel("t17b")
 	session := experiments.NewSession()
 	session.SetParallel(parallel)
 	session.CollectMetrics(true)
-	wafer := session.Build(experiments.Baseline)
-	r, err := training.Simulate(training.Config{
-		Wafer:               wafer,
+	if _, err := session.Train(experiments.Baseline, training.Config{
 		Model:               m,
 		Strategy:            workloadStrategy(m),
 		MinibatchPerReplica: 16,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	net := wafer.Network()
-	net.FlushMetrics()
-	r.RecordMetrics(net.Metrics())
 	data, err := session.Metrics().Export(metrics.Manifest{
 		Tool:            "fredtrain",
 		Workload:        m.Name,

@@ -7,9 +7,8 @@
 // and a worker pool: independent figure/table cells (each a fully
 // self-contained scheduler+network+training simulation) fan out across
 // the pool and merge back in deterministic paper order, so the emitted
-// tables are byte-identical at every pool size. The package-level
-// driver functions are conveniences over a fresh default session
-// (observability off, GOMAXPROCS workers).
+// tables are byte-identical at every pool size. Studies lists the
+// drivers as fredsim runs them, in `fredsim all` order.
 package experiments
 
 import (
@@ -19,7 +18,6 @@ import (
 	"github.com/wafernet/fred/internal/parallelism"
 	"github.com/wafernet/fred/internal/sim"
 	"github.com/wafernet/fred/internal/topology"
-	"github.com/wafernet/fred/internal/training"
 	"github.com/wafernet/fred/internal/workload"
 )
 
@@ -38,6 +36,36 @@ const (
 // Systems lists all five configurations in Table 5 order.
 func Systems() []System { return []System{Baseline, FredA, FredB, FredC, FredD} }
 
+// LookupSystem resolves an exact Table 5 system name.
+func LookupSystem(name string) (System, error) {
+	for _, sys := range Systems() {
+		if string(sys) == name {
+			return sys, nil
+		}
+	}
+	return "", fmt.Errorf("unknown system %q (Baseline, Fred-A, Fred-B, Fred-C, Fred-D)", name)
+}
+
+// ModelNames lists the canonical workload names LookupModel accepts.
+const ModelNames = "resnet152, t17b, gpt3, t1t"
+
+// LookupModel resolves a Table 6 workload by its canonical name or
+// alias. The match is exact: callers that accept other spellings
+// normalize first.
+func LookupModel(name string) (*workload.Model, error) {
+	switch name {
+	case "resnet152", "resnet":
+		return workload.ResNet152(), nil
+	case "t17b", "transformer17b":
+		return workload.Transformer17B(), nil
+	case "gpt3":
+		return workload.GPT3(), nil
+	case "t1t", "transformer1t":
+		return workload.Transformer1T(), nil
+	}
+	return nil, fmt.Errorf("unknown workload %q (%s)", name, ModelNames)
+}
+
 // Build instantiates a fresh wafer (own scheduler and network) for a
 // system, applying the session's observability hooks (SetTracer /
 // CollectLinkStats). It is safe to call from concurrent cells.
@@ -51,16 +79,6 @@ func (s *Session) Build(sys System) topology.Wafer {
 		return topology.NewFredVariant(net, topology.FredVariant(sys))
 	}
 	panic(fmt.Sprintf("experiments: unknown system %q", sys))
-}
-
-// Build instantiates a fresh unobserved wafer for a system — the
-// package-level convenience over a throwaway session.
-func Build(s System) topology.Wafer { return NewSession().Build(s) }
-
-// RunTraining simulates one iteration of the model under the strategy
-// on a fresh unobserved instance of the system.
-func RunTraining(s System, m *workload.Model, strat parallelism.Strategy, perReplica int) (*training.Report, error) {
-	return NewSession().RunTraining(s, m, strat, perReplica)
 }
 
 // defaultStrategy returns the Table 6 strategy of a model.

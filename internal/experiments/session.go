@@ -33,16 +33,13 @@ import (
 // provides — and it keeps traces byte-identical run to run.
 //
 // A Session's Build and RunTraining may be called from multiple
-// goroutines concurrently (the collected hotspot tables and the build
+// goroutines concurrently (the collected outputs and the build
 // sequence are mutex-guarded), except while a tracer is attached:
 // tracers are single-goroutine by contract (see trace.Tracer).
 type Session struct {
-	tracer         trace.Tracer
-	linkStats      bool
-	collectMetrics bool
-	collectCrit    bool
-	collectTS      bool
-	parallel       int
+	tracer   trace.Tracer
+	collect  collect
+	parallel int
 
 	// progress is the wall-clock flight-recorder plane: when set, every
 	// forEach reports study/cell lifecycle events to it. Child sessions
@@ -69,17 +66,28 @@ type Session struct {
 	// inherit the pointer, so the cache spans the whole fan-out. Safe
 	// because the shared entries are LinkID-level (no network pointers)
 	// and keyed by the System fingerprint; see collective.SharedCache.
-	// Nil when sharing is disabled (ShareSchedules(false)).
 	schedCache *collective.SharedCache
 
 	mu       sync.Mutex
 	buildSeq int
 	errs     []error
+	out      outputs
+}
 
-	linkTables  *report.Collector
-	metricsColl *metrics.Collector
-	critColl    *critpath.Collector
-	tsColl      *timeseries.Collector
+// collect holds the session's collect switches; forEach copies them
+// to every child session.
+type collect struct {
+	linkStats, metrics, critPath, timeseries bool
+}
+
+// outputs is what a session has collected, in cell order: one hotspot
+// table per training run, one registry and one flight recorder per
+// build, one critical-path iteration per training run.
+type outputs struct {
+	hotspots   []*report.Table
+	registries []*metrics.Registry
+	critPath   []critpath.Iteration
+	recorders  []*timeseries.Recorder
 }
 
 // CellError reports a panic recovered from one experiment cell: the
@@ -134,26 +142,7 @@ func (s *Session) Err() error {
 // NewSession returns a session with observability off and the worker
 // pool sized to GOMAXPROCS.
 func NewSession() *Session {
-	return &Session{
-		linkTables:  report.NewCollector(),
-		metricsColl: metrics.NewCollector(),
-		critColl:    critpath.NewCollector(),
-		tsColl:      timeseries.NewCollector(),
-		schedCache:  collective.NewSharedCache(),
-	}
-}
-
-// ShareSchedules toggles the cross-cell compiled-schedule cache
-// (on by default). Turning it off makes every cell compile its own
-// schedules from scratch — the -noschedcache escape hatch for
-// isolating cache bugs; results are byte-identical either way.
-// Turning it back on starts from an empty cache.
-func (s *Session) ShareSchedules(on bool) {
-	if on {
-		s.schedCache = collective.NewSharedCache()
-	} else {
-		s.schedCache = nil
-	}
+	return &Session{schedCache: collective.NewSharedCache()}
 }
 
 // SetParallel sizes the worker pool used to fan independent cells out:
@@ -180,14 +169,20 @@ func (s *Session) SetTracer(tr trace.Tracer) {
 // subsequent RunTraining appends a top-10 hotspot table, retrievable
 // with LinkStatsTables. Enabling resets previously collected tables.
 func (s *Session) CollectLinkStats(on bool) {
-	s.linkStats = on
-	s.linkTables = report.NewCollector()
+	s.collect.linkStats = on
+	s.mu.Lock()
+	s.out.hotspots = nil
+	s.mu.Unlock()
 }
 
 // LinkStatsTables returns the hotspot tables collected since
 // CollectLinkStats(true), one per training run, in driver cell order
 // regardless of which worker ran each cell.
-func (s *Session) LinkStatsTables() []*report.Table { return s.linkTables.Tables() }
+func (s *Session) LinkStatsTables() []*report.Table {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]*report.Table(nil), s.out.hotspots...)
+}
 
 // CollectMetrics toggles metrics collection: every subsequently built
 // system gets a private registry (netsim flow counters and per-link
@@ -196,15 +191,24 @@ func (s *Session) LinkStatsTables() []*report.Table { return s.linkTables.Tables
 // attribution) and flushes the network's trailing utilization
 // interval. Enabling resets previously collected registries.
 func (s *Session) CollectMetrics(on bool) {
-	s.collectMetrics = on
-	s.metricsColl = metrics.NewCollector()
+	s.collect.metrics = on
+	s.mu.Lock()
+	s.out.registries = nil
+	s.mu.Unlock()
 }
 
 // Metrics merges every collected registry in build order — the same
-// deterministic slot scheme as the hotspot tables, so the merged
-// registry (and its exported artifact) is byte-identical at every
-// worker-pool size.
-func (s *Session) Metrics() *metrics.Registry { return s.metricsColl.Merged() }
+// cell order as the hotspot tables, so the merged registry (and its
+// exported artifact) is byte-identical at every worker-pool size.
+func (s *Session) Metrics() *metrics.Registry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	merged := metrics.NewRegistry()
+	for _, r := range s.out.registries {
+		merged.Merge(r)
+	}
+	return merged
+}
 
 // CollectCritPath toggles critical-path recording: every subsequently
 // built system gets a causal critpath recorder (netsim.SetCritPath),
@@ -212,16 +216,21 @@ func (s *Session) Metrics() *metrics.Registry { return s.metricsColl.Merged() }
 // decomposition, labeled with the cell's workload/strategy/system.
 // Enabling resets previously collected iterations.
 func (s *Session) CollectCritPath(on bool) {
-	s.collectCrit = on
-	s.critColl = critpath.NewCollector()
+	s.collect.critPath = on
+	s.mu.Lock()
+	s.out.critPath = nil
+	s.mu.Unlock()
 }
 
 // CritPathCells returns the iterations collected since
 // CollectCritPath(true), in driver cell order regardless of which
-// worker ran each cell — the same deterministic slot scheme as the
-// hotspot tables, so the exported fred-critpath/v1 artifact is
+// worker ran each cell, so the exported fred-critpath/v1 artifact is
 // byte-identical at every worker-pool size.
-func (s *Session) CritPathCells() []critpath.Iteration { return s.critColl.Cells() }
+func (s *Session) CritPathCells() []critpath.Iteration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]critpath.Iteration(nil), s.out.critPath...)
+}
 
 // CollectTimeseries toggles the simulated-time flight recorder: every
 // subsequently built system gets a timeseries.Recorder hooked onto its
@@ -230,16 +239,25 @@ func (s *Session) CritPathCells() []critpath.Iteration { return s.critColl.Cells
 // blame), finished at the cell's final simulated time. Enabling resets
 // previously collected recorders.
 func (s *Session) CollectTimeseries(on bool) {
-	s.collectTS = on
-	s.tsColl = timeseries.NewCollector()
+	s.collect.timeseries = on
+	s.mu.Lock()
+	s.out.recorders = nil
+	s.mu.Unlock()
 }
 
-// TimeseriesCells returns the recorded cells collected since
+// TimeseriesCells snapshots the recorders collected since
 // CollectTimeseries(true), in driver cell order regardless of which
-// worker ran each cell — the same deterministic slot scheme as the
-// other collectors, so the exported fred-timeseries/v1 artifact is
+// worker ran each cell, so the exported fred-timeseries/v1 artifact is
 // byte-identical at every worker-pool size.
-func (s *Session) TimeseriesCells() []timeseries.Cell { return s.tsColl.Cells() }
+func (s *Session) TimeseriesCells() []timeseries.Cell {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []timeseries.Cell
+	for _, r := range s.out.recorders {
+		out = append(out, r.Snapshot())
+	}
+	return out
+}
 
 // SetProgress attaches the wall-clock progress engine: every forEach
 // reports study starts and cell start/finish events to it, and each
@@ -279,10 +297,10 @@ func (s *Session) workers() int {
 // forEach executes fn(cell, cs) for every cell in [0, n), the session's
 // unit of fan-out. With one worker the cells run in order on the
 // session itself, exactly as the sequential drivers always have. With
-// more, each cell gets an isolated child session (inheriting link-stats
-// collection but running its nested drivers sequentially) and a
-// reserved slot in the parent's table collector, so the hotspot tables
-// merge back in cell order no matter which worker finishes first.
+// more, each cell gets an isolated child session (inheriting the
+// collect switches but running its nested drivers sequentially), and
+// the children's outputs merge into the parent in cell order after the
+// pool drains, no matter which worker finished first.
 // Callers index result arrays by cell, which keeps row order
 // deterministic by construction.
 //
@@ -325,24 +343,13 @@ func (s *Session) forEach(study string, n int, fn func(cell int, cs *Session)) {
 		return
 	}
 	children := make([]*Session, n)
-	slots := make([]int, n)
-	mslots := make([]int, n)
-	cslots := make([]int, n)
-	tslots := make([]int, n)
 	for i := range children {
-		c := NewSession()
-		c.linkStats = s.linkStats
-		c.collectMetrics = s.collectMetrics
-		c.collectCrit = s.collectCrit
-		c.collectTS = s.collectTS
-		c.parallel = 1
-		c.schedCache = s.schedCache
-		c.ctx = s.ctx
-		children[i] = c
-		slots[i] = s.linkTables.Reserve()
-		mslots[i] = s.metricsColl.Reserve()
-		cslots[i] = s.critColl.Reserve()
-		tslots[i] = s.tsColl.Reserve()
+		children[i] = &Session{
+			collect:    s.collect,
+			parallel:   1,
+			schedCache: s.schedCache,
+			ctx:        s.ctx,
+		}
 	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, w)
@@ -356,15 +363,18 @@ func (s *Session) forEach(study string, n int, fn func(cell int, cs *Session)) {
 		}(i)
 	}
 	wg.Wait()
-	for i, c := range children {
-		s.linkTables.Fill(slots[i], c.LinkStatsTables()...)
-		s.metricsColl.Fill(mslots[i], c.metricsColl.Registries()...)
-		s.critColl.Fill(cslots[i], c.critColl.Cells()...)
-		s.tsColl.Fill(tslots[i], c.tsColl.Recorders()...)
+	// The pool has drained, so the children are no longer written to:
+	// merging them in cell order makes every collected output
+	// independent of which worker finished first.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range children {
+		s.out.hotspots = append(s.out.hotspots, c.out.hotspots...)
+		s.out.registries = append(s.out.registries, c.out.registries...)
+		s.out.critPath = append(s.out.critPath, c.out.critPath...)
+		s.out.recorders = append(s.out.recorders, c.out.recorders...)
 		// Nested fan-outs record on the child; surface those too.
-		s.mu.Lock()
 		s.errs = append(s.errs, c.errs...)
-		s.mu.Unlock()
 	}
 }
 
@@ -386,24 +396,28 @@ func (s *Session) observeNetwork(net *netsim.Network, system System) {
 		trace.AttachSchedulerCounter(net.Scheduler(), s.tracer,
 			"scheduler/"+net.Name(), 4096)
 	}
-	if s.linkStats {
+	if s.collect.linkStats {
 		net.EnableLinkTelemetry()
 	}
-	if s.collectMetrics {
+	if s.collect.metrics {
 		reg := metrics.NewRegistry()
 		net.SetMetrics(reg)
-		s.metricsColl.Append(reg)
+		s.mu.Lock()
+		s.out.registries = append(s.out.registries, reg)
+		s.mu.Unlock()
 	}
-	if s.collectCrit {
+	if s.collect.critPath {
 		net.SetCritPath(critpath.NewRecorder())
 	}
-	if s.collectTS {
+	if s.collect.timeseries {
 		// After SetCritPath, so the recorder picks up the blame probes.
 		rec := timeseries.NewRecorder(timeseries.Config{})
 		rec.SetLabel(string(system))
 		rec.AttachScheduler(net.Scheduler())
 		net.SetTimeseries(rec)
-		s.tsColl.Append(rec)
+		s.mu.Lock()
+		s.out.recorders = append(s.out.recorders, rec)
+		s.mu.Unlock()
 	}
 	if tok := s.cellTok; tok != nil {
 		// Push the in-flight cell's simulated clock into the live
@@ -431,20 +445,34 @@ func (s *Session) RunTraining(sys System, m *workload.Model, strat parallelism.S
 // is not collecting critpath artifacts, so blame-column studies
 // (Figure 10) always have a decomposition to print.
 func (s *Session) runTraining(sys System, m *workload.Model, strat parallelism.Strategy, perReplica int, blamed bool) (*training.Report, error) {
+	return s.train(sys, training.Config{
+		Model:               m,
+		Strategy:            strat,
+		MinibatchPerReplica: perReplica,
+		Schedules:           s.schedCache,
+		FabricID:            string(sys),
+	}, blamed)
+}
+
+// Train simulates one iteration of cfg on a fresh instance of the
+// system, with cfg.Wafer and cfg.Tracer supplied by the session. The
+// run is recorded like every RunTraining cell: its metrics, critical
+// path, hotspot table and flight-recorder close land in the session's
+// collected outputs. Unlike RunTraining it honours every other cfg
+// field as given, including a nil Schedules (compile privately).
+func (s *Session) Train(sys System, cfg training.Config) (*training.Report, error) {
+	return s.train(sys, cfg, false)
+}
+
+func (s *Session) train(sys System, cfg training.Config, blamed bool) (*training.Report, error) {
 	w := s.Build(sys)
 	net := w.Network()
 	if blamed {
 		ensureCritPath(net)
 	}
-	r, err := training.Simulate(training.Config{
-		Wafer:               w,
-		Model:               m,
-		Strategy:            strat,
-		MinibatchPerReplica: perReplica,
-		Tracer:              s.tracer,
-		Schedules:           s.schedCache,
-		FabricID:            string(sys),
-	})
+	cfg.Wafer = w
+	cfg.Tracer = s.tracer
+	r, err := training.Simulate(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -454,18 +482,20 @@ func (s *Session) runTraining(sys System, m *workload.Model, strat parallelism.S
 	if tok := s.cellTok; tok != nil {
 		tok.SetSimTime(net.Scheduler().Now())
 	}
-	if s.collectMetrics {
+	if s.collect.metrics {
 		net.FlushMetrics()
 		r.RecordMetrics(net.Metrics())
 	}
-	if s.collectCrit && r.CritPath != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.collect.critPath && r.CritPath != nil {
 		it := *r.CritPath
-		it.Label = fmt.Sprintf("%s %v on %s", m.Name, strat, sys)
-		s.critColl.Append(it)
+		it.Label = fmt.Sprintf("%s %v on %s", cfg.Model.Name, cfg.Strategy, sys)
+		s.out.critPath = append(s.out.critPath, it)
 	}
-	if s.linkStats {
-		title := fmt.Sprintf("Link hotspots: %s, %v on %s", m.Name, strat, sys)
-		s.linkTables.Append(net.HotspotTable(title, 10))
+	if s.collect.linkStats {
+		title := fmt.Sprintf("Link hotspots: %s, %v on %s", cfg.Model.Name, cfg.Strategy, sys)
+		s.out.hotspots = append(s.out.hotspots, net.HotspotTable(title, 10))
 	}
 	return r, nil
 }

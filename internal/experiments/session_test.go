@@ -72,7 +72,7 @@ func csvOf(t *testing.T, parallel int, drive func(s *Session) string) string {
 
 // The determinism guarantee behind -parallel: every pool size emits
 // byte-identical output. MeshIOStudy exercises plain fan-out cheaply;
-// Figure 2 additionally exercises hotspot-table slot merging (one
+// Figure 2 additionally exercises the cell-order hotspot-table merge (one
 // table per training cell).
 func TestParallelMatchesSequential(t *testing.T) {
 	drivers := map[string]func(s *Session) string{

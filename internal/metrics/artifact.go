@@ -180,42 +180,61 @@ func (r *Registry) Export(m Manifest) *Artifact {
 // Encode renders the artifact as indented JSON with a trailing
 // newline. Encoding uses only structs and slices (no maps), so the
 // bytes are a pure function of the artifact.
-func (a *Artifact) Encode() ([]byte, error) {
-	out, err := json.MarshalIndent(a, "", "  ")
+func (a *Artifact) Encode() ([]byte, error) { return EncodeJSON(a) }
+
+// Decode parses an artifact and validates its schema family.
+func Decode(data []byte) (*Artifact, error) {
+	return DecodeJSON(data, "metrics", func(a *Artifact) string { return a.Schema })
+}
+
+// WriteFile encodes the artifact to a file.
+func (a *Artifact) WriteFile(path string) error { return WriteJSON(path, a) }
+
+// ReadFile loads and validates an artifact from a file.
+func ReadFile(path string) (*Artifact, error) { return ReadJSON(path, Decode) }
+
+// EncodeJSON renders a fred artifact (metrics, critpath, timeseries)
+// as indented JSON with a trailing newline. The artifacts hold only
+// structs and slices, so the bytes are a pure function of the value.
+func EncodeJSON(v any) ([]byte, error) {
+	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(out, '\n'), nil
 }
 
-// Decode parses an artifact and validates its schema family.
-func Decode(data []byte) (*Artifact, error) {
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("metrics: parsing artifact: %w", err)
-	}
-	if !strings.HasPrefix(a.Schema, "fred-metrics/") {
-		return nil, fmt.Errorf("metrics: not a fred-metrics artifact (schema %q)", a.Schema)
-	}
-	return &a, nil
-}
-
-// WriteFile encodes the artifact to a file.
-func (a *Artifact) WriteFile(path string) error {
-	data, err := a.Encode()
+// WriteJSON encodes a fred artifact to a file.
+func WriteJSON(path string, v any) error {
+	data, err := EncodeJSON(v)
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
 }
 
-// ReadFile loads and validates an artifact from a file.
-func ReadFile(path string) (*Artifact, error) {
+// DecodeJSON parses a fred artifact and checks that the schema it
+// reports belongs to the "fred-<family>/" family, so a reader accepts
+// any version of its own format and no other format.
+func DecodeJSON[T any](data []byte, family string, schema func(*T) string) (*T, error) {
+	var a T
+	if err := json.Unmarshal(data, &a); err != nil {
+		return nil, fmt.Errorf("%s: parsing artifact: %w", family, err)
+	}
+	if s := schema(&a); !strings.HasPrefix(s, "fred-"+family+"/") {
+		return nil, fmt.Errorf("%s: not a fred-%s artifact (schema %q)", family, family, s)
+	}
+	return &a, nil
+}
+
+// ReadJSON loads a fred artifact from a file with its format's decode
+// function, naming the file in a decode error.
+func ReadJSON[T any](path string, decode func([]byte) (*T, error)) (*T, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	a, err := Decode(data)
+	a, err := decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

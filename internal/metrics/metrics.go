@@ -14,9 +14,9 @@
 //     registration. Observations only ever add a weight to one bucket
 //     and to scalar accumulators, so the stored state is independent
 //     of how concurrent experiment cells are scheduled — each cell
-//     owns a private Registry and the cells merge in slot order
-//     (Collector), making the merged artifact byte-identical at every
-//     `-parallel` pool size.
+//     owns a private Registry and the experiment session merges the
+//     cells in cell order, making the merged artifact byte-identical at
+//     every `-parallel` pool size.
 //   - Quantiles are derived from the bucket weights (upper-bound
 //     estimator clamped to the observed extrema), not from raw sample
 //     streams, so they are insensitive to sample arrival order.
@@ -239,8 +239,8 @@ func (s *Series) Weights() []float64 { return s.weights }
 
 // Registry is an ordered collection of series. It is not safe for
 // concurrent use: each experiment cell owns a private registry (the
-// simulators are single-goroutine) and concurrent cells merge through
-// a Collector.
+// simulators are single-goroutine) and the experiment session merges
+// concurrent cells' registries in cell order.
 type Registry struct {
 	byName map[string]*Series
 	series []*Series

@@ -103,6 +103,12 @@ type Engine struct {
 	failed   int
 	running  []*Cell
 	onUpdate []func(Snapshot)
+
+	// pending holds completion snapshots not yet passed to the
+	// callbacks; notifying is set while one goroutine delivers them, in
+	// completion order, with mu released.
+	pending   []Snapshot
+	notifying bool
 }
 
 // NewEngine returns an engine reading the given clock (nil means
@@ -118,9 +124,10 @@ func NewEngine(clock func() time.Time) *Engine {
 
 // OnUpdate registers a callback invoked with a fresh snapshot after
 // every cell completion — the hook the status line and the SSE stream
-// hang off. Callbacks run sequentially under the engine's lock order
-// (one at a time, in registration order) on the completing cell's
-// goroutine; keep them fast.
+// hang off. Callbacks run one at a time, in registration order, and
+// see the snapshots in completion order: the completing goroutine
+// delivers its own snapshot and any that completions racing with it
+// queued meanwhile. Keep them fast.
 func (e *Engine) OnUpdate(fn func(Snapshot)) {
 	e.mu.Lock()
 	e.onUpdate = append(e.onUpdate, fn)
@@ -147,9 +154,9 @@ func (e *Engine) CellStarted(study string, cell int) *Cell {
 	return c
 }
 
-// CellFinished retires a cell, reads the clock, and notifies every
-// OnUpdate callback with the post-completion snapshot. A nil cell is
-// ignored.
+// CellFinished retires a cell, reads the clock, and passes the
+// post-completion snapshot to every OnUpdate callback, in completion
+// order (see OnUpdate). A nil cell is ignored.
 func (e *Engine) CellFinished(c *Cell, failed bool) {
 	if c == nil {
 		return
@@ -165,12 +172,28 @@ func (e *Engine) CellFinished(c *Cell, failed bool) {
 	if failed {
 		e.failed++
 	}
-	snap := e.snapshotLocked(e.now())
-	cbs := e.onUpdate
-	e.mu.Unlock()
-	for _, fn := range cbs {
-		fn(snap)
+	e.pending = append(e.pending, e.snapshotLocked(e.now()))
+	if e.notifying {
+		e.mu.Unlock()
+		return
 	}
+	e.notifying = true
+	for len(e.pending) > 0 {
+		batch, cbs := e.pending, e.onUpdate
+		e.pending = nil
+		e.mu.Unlock()
+		for _, snap := range batch {
+			for _, fn := range cbs {
+				fn(snap)
+			}
+		}
+		e.mu.Lock()
+		if len(e.pending) == 0 {
+			e.pending = batch[:0] // delivered: reuse the backing array
+		}
+	}
+	e.notifying = false
+	e.mu.Unlock()
 }
 
 // Snapshot reads the clock and returns the current progress state.

@@ -89,31 +89,6 @@ type StudyRequest struct {
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 }
 
-// lookupModel resolves the workload names fredtrain accepts.
-func lookupModel(name string) (*workload.Model, error) {
-	switch name {
-	case "resnet152", "resnet":
-		return workload.ResNet152(), nil
-	case "t17b", "transformer17b":
-		return workload.Transformer17B(), nil
-	case "gpt3":
-		return workload.GPT3(), nil
-	case "t1t", "transformer1t":
-		return workload.Transformer1T(), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q (resnet152, t17b, gpt3, t1t)", name)
-}
-
-// lookupSystem validates a Table 5 system name.
-func lookupSystem(name string) (experiments.System, error) {
-	for _, sys := range experiments.Systems() {
-		if string(sys) == name {
-			return sys, nil
-		}
-	}
-	return "", fmt.Errorf("unknown system %q (Baseline, Fred-A, Fred-B, Fred-C, Fred-D)", name)
-}
-
 // strategy resolves the request's 3D strategy (training only): the
 // model's Table 6 default unless all three dimensions are given.
 func (r *StudyRequest) strategy(m *workload.Model) parallelism.Strategy {
@@ -137,7 +112,7 @@ func (r *StudyRequest) Normalize(hazards bool) error {
 	if r.System == "" {
 		r.System = string(experiments.FredD)
 	}
-	if _, err := lookupSystem(r.System); err != nil {
+	if _, err := experiments.LookupSystem(r.System); err != nil {
 		return err
 	}
 	switch r.Kind {
@@ -145,7 +120,7 @@ func (r *StudyRequest) Normalize(hazards bool) error {
 		if r.Workload == "" {
 			r.Workload = "t17b"
 		}
-		m, err := lookupModel(r.Workload)
+		m, err := experiments.LookupModel(r.Workload)
 		if err != nil {
 			return err
 		}
@@ -216,7 +191,7 @@ func (r *StudyRequest) Manifest() metrics.Manifest {
 	switch r.Kind {
 	case KindTraining:
 		m.Workload = r.Workload
-		if model, err := lookupModel(r.Workload); err == nil {
+		if model, err := experiments.LookupModel(r.Workload); err == nil {
 			m.Strategy = r.strategy(model).String()
 		}
 		m.BatchPerReplica = r.Batch
@@ -300,7 +275,7 @@ func runStudy(ctx context.Context, req *StudyRequest, tok *obs.Cell) (*StudyResu
 	sess.SetContext(ctx)
 	sess.ObserveCell(tok)
 	sess.CollectMetrics(true)
-	sys, err := lookupSystem(req.System)
+	sys, err := experiments.LookupSystem(req.System)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +288,7 @@ func runStudy(ctx context.Context, req *StudyRequest, tok *obs.Cell) (*StudyResu
 	}
 	switch req.Kind {
 	case KindTraining:
-		model, err := lookupModel(req.Workload)
+		model, err := experiments.LookupModel(req.Workload)
 		if err != nil {
 			return nil, err
 		}

@@ -1,13 +1,6 @@
 package timeseries
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"strings"
-
-	"github.com/wafernet/fred/internal/metrics"
-)
+import "github.com/wafernet/fred/internal/metrics"
 
 // Schema is the timeseries artifact schema identifier. Readers accept
 // any "fred-timeseries/*" version.
@@ -67,44 +60,15 @@ func Export(m metrics.Manifest, cells []Cell) *Artifact {
 // newline. Encoding uses only structs and slices (no maps), so the
 // bytes are a pure function of the artifact — the basis of the
 // byte-identical-at-every-pool-size guarantee.
-func (a *Artifact) Encode() ([]byte, error) {
-	out, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
+func (a *Artifact) Encode() ([]byte, error) { return metrics.EncodeJSON(a) }
 
 // Decode parses an artifact and validates its schema family.
 func Decode(data []byte) (*Artifact, error) {
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("timeseries: parsing artifact: %w", err)
-	}
-	if !strings.HasPrefix(a.Schema, "fred-timeseries/") {
-		return nil, fmt.Errorf("timeseries: not a fred-timeseries artifact (schema %q)", a.Schema)
-	}
-	return &a, nil
+	return metrics.DecodeJSON(data, "timeseries", func(a *Artifact) string { return a.Schema })
 }
 
 // WriteFile encodes the artifact to a file.
-func (a *Artifact) WriteFile(path string) error {
-	data, err := a.Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
+func (a *Artifact) WriteFile(path string) error { return metrics.WriteJSON(path, a) }
 
 // ReadFile loads and validates an artifact from a file.
-func ReadFile(path string) (*Artifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	a, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return a, nil
-}
+func ReadFile(path string) (*Artifact, error) { return metrics.ReadJSON(path, Decode) }

@@ -22,8 +22,8 @@
 //     simulated event times.
 //   - Probes are registered in a deterministic order and evaluated in
 //     registration order at each boundary; export iterates ordered
-//     slices, never maps. Per-cell recorders merge through a
-//     slot-reserving Collector, so the merged artifact is
+//     slices, never maps. The experiment session merges per-cell
+//     recorders in cell order, so the merged artifact is
 //     byte-identical at every worker-pool size.
 //
 // The package depends only on sim (and metrics, for the shared run

@@ -206,29 +206,3 @@ func TestArtifactRoundTrip(t *testing.T) {
 		t.Error("re-encoded artifact differs")
 	}
 }
-
-// TestCollectorSlotOrder: slots fold in reservation order no matter
-// the fill order.
-func TestCollectorSlotOrder(t *testing.T) {
-	mk := func(label string) *Recorder {
-		r := NewRecorder(Config{Interval: 1, Capacity: 8})
-		r.SetLabel(label)
-		return r
-	}
-	c := NewCollector()
-	s0 := c.Reserve()
-	s1 := c.Reserve()
-	c.Fill(s1, mk("b"))
-	c.Fill(s0, mk("a"))
-	c.Append(mk("c"))
-	var got []string
-	for _, cell := range c.Cells() {
-		got = append(got, cell.Label)
-	}
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cells = %v, want %v", got, want)
-		}
-	}
-}
