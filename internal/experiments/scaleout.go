@@ -65,13 +65,10 @@ func (s *Session) ScaleOutStudy() ([]ScaleOutRow, *report.Table) {
 		cfg := multiwafer.DefaultConfig()
 		cfg.Wafers = wafersOf(systems[i])
 		cfg.Dims = systems[i]
-		cfg.FillWorkers = 4
 		sh := multiwafer.New(cfg)
-		defer sh.Close()
 		hier := sh.Run(sh.GlobalAllReduce(10e9))
 		work := sh.Network().FillStats()
 		sn := multiwafer.New(cfg)
-		defer sn.Close()
 		naive := sn.Run(sn.NaiveAllReduce(10e9))
 		rows[i] = ScaleOutRow{
 			NPUs:     sh.NPUCount(),

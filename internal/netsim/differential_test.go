@@ -120,24 +120,10 @@ func makeScenario(seed int64) churnScenario {
 // run replays the scenario on a fresh network, on the reference engine
 // when reference is set, and records all observables.
 func (sc churnScenario) run(reference bool) churnRecord {
-	return sc.runWith(reference, 1)
-}
-
-// runParallel replays on the sharded engine with a width-pool fill
-// worker pool.
-func (sc churnScenario) runParallel(pool int) churnRecord {
-	return sc.runWith(false, pool)
-}
-
-func (sc churnScenario) runWith(reference bool, pool int) churnRecord {
 	s := sim.NewScheduler()
 	net := New(s)
-	defer net.Close()
 	if reference {
 		net.useReferenceEngine()
-	}
-	if pool > 1 {
-		net.SetFillParallel(pool)
 	}
 	nodes := make([]NodeID, sc.nNodes)
 	for i := range nodes {

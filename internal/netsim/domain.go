@@ -39,16 +39,13 @@ package netsim
 //     activation order, and across recomputes older arming passes hold
 //     older sequences.
 //
-// Independent dirty domains fill in parallel on a bounded sim.Pool
-// (SetFillParallel). Every write inside a domain fill is domain-local
-// (per-flow rates, per-link epoch scratch, disjoint rate-sum slots),
-// and the merge back into shared state — stats, completion arming,
-// proxy re-arm — runs sequentially in deterministic domain order, so
-// output is byte-identical at every pool size. See DESIGN.md
-// ("Sharded rate engine") for the invariants and determinism argument.
+// Dirty domains fill sequentially, in the deterministic order
+// collectDirtyDomains resolves them: fill is a small share of a
+// study's run time, and studies already run their cells in parallel.
+// See DESIGN.md ("Sharded rate engine") for the invariants, the
+// determinism argument and the measurement behind that choice.
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -90,61 +87,12 @@ func (n *Network) ForceFullFill() {
 	n.recomputeFn()
 }
 
-// SetFillParallel sets the worker-pool width used to fill independent
-// dirty domains concurrently. Width 1 (the default) runs sequentially
-// with no goroutines. Output is byte-identical at every width; only
-// wall-clock time changes. Call it before starting flows; a pool
-// created here owns goroutines until Close.
-func (n *Network) SetFillParallel(workers int) {
-	if workers < 1 {
-		panic(fmt.Sprintf("netsim: fill parallelism %d must be ≥ 1", workers))
-	}
-	if n.fillPool != nil {
-		n.fillPool.Close()
-		n.fillPool = nil
-	}
-	if workers > 1 {
-		n.fillPool = sim.NewPool(workers)
-	}
-	n.fillScratch = make([]*fillScratch, workers)
-	for i := range n.fillScratch {
-		n.fillScratch[i] = &fillScratch{}
-	}
-	n.fillDomainFn = n.fillDomain
-}
-
-// FillParallel reports the configured fill worker-pool width.
-func (n *Network) FillParallel() int {
-	if len(n.fillScratch) == 0 {
-		return 1
-	}
-	return len(n.fillScratch)
-}
-
-// Close releases the fill worker pool's goroutines, if any. The
-// network remains usable (fills fall back to sequential).
-func (n *Network) Close() {
-	if n.fillPool != nil {
-		n.fillPool.Close()
-		n.fillPool = nil
-		n.fillScratch = []*fillScratch{{}}
-	}
-}
-
-// fillScratch is the per-worker reusable state of one domain fill, so
-// concurrent domain fills never share scratch and the steady state
-// performs no allocation.
+// fillScratch is the reusable state of one domain fill, so the steady
+// state performs no allocation.
 type fillScratch struct {
 	flows   []*Flow // the domain's flows, sorted by activation seq
 	comps   []*Link // exact-component roots, in first-flow order
 	touched []*Link // links touched by the current component fill
-}
-
-// domainFillResult carries one domain fill's counters back from a
-// (possibly parallel) worker, merged sequentially by job index.
-type domainFillResult struct {
-	components int
-	flows      int
 }
 
 // ---------------------------------------------------------------------
@@ -169,9 +117,7 @@ func (n *Network) domEnsure(l *Link) {
 }
 
 // domFind returns the root of l's domain, with path halving. l must be
-// current-version. Not safe to call concurrently (path compression
-// mutates parents), so workers never call it: they only walk the
-// link/flow lists hanging off roots resolved beforehand.
+// current-version.
 func domFind(l *Link) *Link {
 	for l.domParent != l {
 		l.domParent = l.domParent.domParent
@@ -282,8 +228,7 @@ func (n *Network) domRootOf(l *Link) *Link {
 
 // collectDirtyDomains resolves the queued dirty roots (and, under
 // ForceFullFill, every live domain) into the deduplicated procRoots
-// work list, clearing the dirty queue. Runs sequentially before the
-// parallel fill phase — find's path compression is not thread-safe.
+// work list, clearing the dirty queue.
 func (n *Network) collectDirtyDomains() {
 	n.seenEpoch++
 	seen := n.seenEpoch
@@ -323,8 +268,7 @@ func (n *Network) collectDirtyDomains() {
 // ---------------------------------------------------------------------
 
 // compFind / compUnion are the per-pass exact-component union-find,
-// epoch-stamped into the links like the fill scratch. Confined to one
-// domain, so concurrent domain fills never touch the same links.
+// epoch-stamped into the links like the fill scratch.
 func compFind(l *Link) *Link {
 	for l.compParent != l {
 		l.compParent = l.compParent.compParent
@@ -350,11 +294,9 @@ func compUnion(a, b *Link) *Link {
 // fillDomain refills one dirty domain: collect its flows in activation
 // order, rediscover exact connected components, waterfill each
 // component independently, and refresh the domain's per-link rate
-// sums. All writes are domain-local, so domains fill concurrently on
-// the worker pool with bit-identical results at any pool width.
-func (n *Network) fillDomain(worker, job int) {
-	root := n.procRoots[job]
-	sc := n.fillScratch[worker]
+// sums, adding its component and flow counts to the work counters.
+func (n *Network) fillDomain(root *Link) {
+	sc := &n.fillScratch
 	flows := sc.flows[:0]
 	sorted := true
 	var prev uint64
@@ -385,7 +327,6 @@ func (n *Network) fillDomain(worker, job int) {
 		for l := root.domLinkHead; l != nil; l = l.domNext {
 			n.rateSum[l.ID] = 0
 		}
-		n.procStats[job] = domainFillResult{}
 		return
 	}
 	epoch := n.fillEpoch
@@ -420,9 +361,9 @@ func (n *Network) fillDomain(worker, job int) {
 		f.compNext = nil
 	}
 	sc.comps = comps
-	filled := 0
+	n.stats.ComponentsFilled += uint64(len(comps))
 	for _, c := range comps {
-		filled += n.fillComponent(c, sc)
+		n.stats.FlowsFilled += uint64(n.fillComponent(c))
 	}
 	// Per-link rate sums (telemetry/metrics/traces read them): zero the
 	// domain's links — including ones whose flows all departed — then
@@ -436,7 +377,6 @@ func (n *Network) fillDomain(worker, job int) {
 			n.rateSum[l.ID] += f.rate
 		}
 	}
-	n.procStats[job] = domainFillResult{components: len(comps), flows: filled}
 }
 
 // fillComponent runs one progressive-filling pass over a single exact
@@ -445,9 +385,9 @@ func (n *Network) fillDomain(worker, job int) {
 // residual updates, the saturation epsilon — is operation-for-operation
 // identical to the reference per-component fill, keeping rates
 // bit-exact. Returns the number of flows filled.
-func (n *Network) fillComponent(comp *Link, sc *fillScratch) int {
+func (n *Network) fillComponent(comp *Link) int {
 	epoch := n.fillEpoch
-	touched := sc.touched[:0]
+	touched := n.fillScratch.touched[:0]
 	unfrozenCount := 0
 	count := 0
 	for f := comp.compHead; f != nil; f = f.compNext {
@@ -526,7 +466,7 @@ func (n *Network) fillComponent(comp *Link, sc *fillScratch) int {
 			}
 		}
 	}
-	sc.touched = touched
+	n.fillScratch.touched = touched
 	return count
 }
 

@@ -19,10 +19,9 @@
 // see domain.go), flow churn dirties only its own domain, and a
 // recompute refills dirty domains alone — per exact connected
 // component, over epoch-stamped scratch state embedded in the links
-// (no per-recompute maps). Independent dirty domains fill in parallel
-// on a bounded worker pool (SetFillParallel) with byte-identical
-// output at every pool width. Completions sit on a calendar drained by
-// a single proxy scheduler event, re-armed only for flows whose rate
+// (no per-recompute maps). Dirty domains fill one after another in a
+// deterministic order. Completions sit on a calendar drained by a
+// single proxy scheduler event, re-armed only for flows whose rate
 // actually changed. See DESIGN.md ("Sharded rate engine") and
 // reference.go for the straightforward implementation the engine is
 // differentially tested against.
@@ -99,8 +98,7 @@ type Link struct {
 
 	// Exact-component scratch for one domain-fill pass, valid only
 	// while compEpoch (compSeen for the flow list) matches the
-	// network's fill epoch. Only ever touched by the worker filling
-	// this link's domain, so parallel domain fills never race on it.
+	// network's fill epoch.
 	compEpoch  uint64
 	compSeen   uint64
 	compParent *Link
@@ -368,16 +366,11 @@ type Network struct {
 	seenEpoch   uint64
 	freePending []*Flow
 
-	// Dirty-domain work list of the in-flight recompute, and the
-	// per-worker fill scratch (SetFillParallel sizes it; width 1 — no
-	// pool — by default). fillDomainFn caches the method value so the
-	// pool dispatch allocates nothing.
-	procRoots    []*Link
-	procStats    []domainFillResult
-	fillPool     *sim.Pool
-	fillScratch  []*fillScratch
-	fillDomainFn func(worker, job int)
-	stats        FillStats
+	// Dirty-domain work list of the in-flight recompute and the domain
+	// fill's reusable scratch.
+	procRoots   []*Link
+	fillScratch fillScratch
+	stats       FillStats
 
 	// Completion calendar (domain.go): active flows' armed completions
 	// in an indexed min-heap ordered by (eta, arming pass, activation
@@ -447,8 +440,6 @@ type Network struct {
 func New(s *sim.Scheduler) *Network {
 	n := &Network{sched: s, retry: DefaultRetryPolicy(), partVersion: 1}
 	n.recomputeFn = n.recompute
-	n.fillScratch = []*fillScratch{{}}
-	n.fillDomainFn = n.fillDomain
 	n.SetName("")
 	return n
 }
@@ -1094,10 +1085,8 @@ func (n *Network) markDirty() {
 // wholesale, flows keeping their rates, armed ETAs and calendar keys.
 // Pure contention-free churn (flows whose every link has infinite
 // bandwidth) dirties no domain at all and just freezes the arrivals at
-// +Inf. Dirty domains fill independently — in parallel when a pool is
-// configured — and the merge back into shared state (stats, completion
-// arming in deterministic domain order, the proxy re-arm) is
-// sequential, so results are byte-identical at every pool width.
+// +Inf. Dirty domains fill one at a time in collection order, each
+// re-arming its flows' completions right after its fill.
 func (n *Network) recompute() {
 	n.dirty = false
 	n.settle()
@@ -1110,27 +1099,11 @@ func (n *Network) recompute() {
 		n.stats.FillPasses++
 		n.fillEpoch++
 		n.ensureRateSum()
-		for len(n.procStats) < len(n.procRoots) {
-			n.procStats = append(n.procStats, domainFillResult{})
-		}
-		if n.fillPool != nil && len(n.procRoots) > 1 {
-			n.fillPool.Run(len(n.procRoots), n.fillDomainFn)
-		} else {
-			for j := range n.procRoots {
-				n.fillDomain(0, j)
-			}
-		}
-		// Sequential merge, in deterministic (collection-order) domain
-		// order: work counters, then completion re-arming for the
-		// refilled flows. Flows whose rate came out bit-identical keep
-		// their armed ETA and calendar key (see armFlow).
-		for j := range n.procRoots {
-			r := n.procStats[j]
-			n.stats.DomainsFilled++
-			n.stats.ComponentsFilled += uint64(r.components)
-			n.stats.FlowsFilled += uint64(r.flows)
-		}
+		n.stats.DomainsFilled += uint64(len(n.procRoots))
 		for _, root := range n.procRoots {
+			n.fillDomain(root)
+			// Flows whose rate came out bit-identical keep their armed
+			// ETA and calendar key (see armFlow).
 			for f := root.domFlowHead; f != nil; f = f.domNext {
 				n.armFlow(f, now)
 			}

@@ -265,15 +265,16 @@ func (s *Server) retryAfter() int {
 }
 
 // deadlineFor clamps a request's deadline into the server's envelope.
+// The clamp happens in milliseconds, before the conversion to a
+// Duration, so a huge deadline_ms cannot overflow into a negative one.
 func (s *Server) deadlineFor(req *StudyRequest) time.Duration {
-	d := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		d = time.Duration(req.DeadlineMS) * time.Millisecond
+	if req.DeadlineMS <= 0 {
+		return s.cfg.DefaultDeadline
 	}
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
+	if int64(req.DeadlineMS) > s.cfg.MaxDeadline.Milliseconds() {
+		return s.cfg.MaxDeadline
 	}
-	return d
+	return time.Duration(req.DeadlineMS) * time.Millisecond
 }
 
 // handleSubmit is POST /v1/studies: the admission path. In order —

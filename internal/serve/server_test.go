@@ -189,6 +189,29 @@ func TestServerDeadlineKillsSpin(t *testing.T) {
 	}
 }
 
+// TestDeadlineFor pins the deadline envelope: no deadline selects the
+// default, an in-range one is kept, and anything above the maximum —
+// including a millisecond count whose Duration would overflow — is
+// clamped to the maximum.
+func TestDeadlineFor(t *testing.T) {
+	s := &Server{cfg: Config{DefaultDeadline: 10 * time.Second, MaxDeadline: time.Minute}}
+	for _, tc := range []struct {
+		name string
+		ms   int
+		want time.Duration
+	}{
+		{"default", 0, 10 * time.Second},
+		{"in range", 1500, 1500 * time.Millisecond},
+		{"at max", 60000, time.Minute},
+		{"above max", 60001, time.Minute},
+		{"overflow", 9300000000000, time.Minute},
+	} {
+		if got := s.deadlineFor(&StudyRequest{DeadlineMS: tc.ms}); got != tc.want {
+			t.Errorf("%s: deadlineFor(%d ms) = %v, want %v", tc.name, tc.ms, got, tc.want)
+		}
+	}
+}
+
 // TestServerIdempotencyKeys pins both sides of the idempotency
 // contract: the same key with the same config replays the same body,
 // and the same key with a different config is a 409 conflict.
