@@ -137,11 +137,6 @@ func NewMeshPlatform(cfg topology.MeshConfig) *Platform {
 	return &Platform{wafer: topology.NewMesh(netsim.New(sim.NewScheduler()), cfg)}
 }
 
-// NewFredPlatform builds a custom FRED fabric.
-func NewFredPlatform(cfg topology.FredConfig) *Platform {
-	return &Platform{wafer: topology.NewFredFabric(netsim.New(sim.NewScheduler()), cfg)}
-}
-
 // Wafer exposes the underlying topology.
 func (p *Platform) Wafer() topology.Wafer { return p.wafer }
 

@@ -3,7 +3,6 @@ package collective
 import (
 	"fmt"
 
-	"github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/topology"
 )
 
@@ -80,55 +79,8 @@ func (c *Comm) buildAllReduce(group []int, bytes float64) Schedule {
 			return FredInNetworkAllReduce(w, group, bytes)
 		}
 		return FredEndpointAllReduce(w, group, bytes)
-	case *topology.FredTree:
-		if w.InNetwork() {
-			depth := 0.0
-			for _, a := range group {
-				if l := w.RouteLatency(group[0], a); l > depth {
-					depth = l
-				}
-			}
-			return Schedule{
-				Name: fmt.Sprintf("fredtree-innet-allreduce(%d)", len(group)),
-				Phases: []Phase{{Transfer{
-					Links:           w.InNetworkAllReduceLinks(group),
-					Bytes:           bytes,
-					LatencyOverride: depth,
-				}}},
-			}
-		}
-		return RingAllReduce(w, group, bytes, true)
 	}
 	return c.unsupported("allreduce")
-}
-
-// treeReduce compiles an in-switch reduce toward root on any router:
-// the union of each member's route to the root forms the reduction
-// tree.
-func treeReduce(r router, group []int, root int, bytes float64) Schedule {
-	s := Schedule{Name: "tree-reduce"}
-	var links []netsim.LinkID
-	seen := map[netsim.LinkID]bool{}
-	depth := 0.0
-	for _, m := range group {
-		if m == root {
-			continue
-		}
-		if l := routeLatency(r, m, root); l > depth {
-			depth = l
-		}
-		for _, l := range r.Route(m, root) {
-			if !seen[l] {
-				seen[l] = true
-				links = append(links, l)
-			}
-		}
-	}
-	if len(links) == 0 || bytes <= 0 {
-		return s
-	}
-	s.Phases = []Phase{{Transfer{Links: links, Bytes: bytes, LatencyOverride: depth}}}
-	return s
 }
 
 // ReduceScatter compiles a reduce-scatter of bytes across the group.
@@ -149,16 +101,6 @@ func (c *Comm) buildReduceScatter(group []int, bytes float64) Schedule {
 	case *topology.FredFabric:
 		if w.InNetwork() {
 			return FredInNetworkReduceScatter(w, group, bytes)
-		}
-		return RingReduceScatter(w, group, bytes, true)
-	case *topology.FredTree:
-		if w.InNetwork() {
-			s := Schedule{Name: fmt.Sprintf("fredtree-innet-reducescatter(%d)", len(group))}
-			shard := bytes / float64(len(group))
-			for _, root := range group {
-				s.Phases = append(s.Phases, treeReduce(w, group, root, shard).Phases...)
-			}
-			return s
 		}
 		return RingReduceScatter(w, group, bytes, true)
 	}
@@ -183,16 +125,6 @@ func (c *Comm) buildAllGather(group []int, bytes float64) Schedule {
 	case *topology.FredFabric:
 		if w.InNetwork() {
 			return FredInNetworkAllGather(w, group, bytes)
-		}
-		return RingAllGather(w, group, bytes, true)
-	case *topology.FredTree:
-		if w.InNetwork() {
-			s := Schedule{Name: fmt.Sprintf("fredtree-innet-allgather(%d)", len(group))}
-			shard := bytes / float64(len(group))
-			for _, src := range group {
-				s.Phases = append(s.Phases, MulticastTree(w, src, group, shard).Phases...)
-			}
-			return s
 		}
 		return RingAllGather(w, group, bytes, true)
 	}
@@ -231,20 +163,6 @@ func (c *Comm) Multicast(src int, dsts []int, bytes float64) Schedule {
 }
 
 func (c *Comm) buildMulticast(src int, dsts []int, bytes float64) Schedule {
-	if t, ok := c.w.(*topology.FredTree); ok && !t.InNetwork() {
-		s := Schedule{Name: fmt.Sprintf("multicast-unicasts(%d)", len(dsts))}
-		var ph Phase
-		for _, d := range dsts {
-			if d == src {
-				continue
-			}
-			ph = append(ph, Transfer{Links: t.Route(src, d), Bytes: bytes})
-		}
-		if len(ph) > 0 {
-			s.Phases = []Phase{ph}
-		}
-		return s
-	}
 	if f, ok := c.w.(*topology.FredFabric); ok && !f.InNetwork() {
 		s := Schedule{Name: fmt.Sprintf("multicast-unicasts(%d)", len(dsts))}
 		var ph Phase

@@ -2,44 +2,51 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/topology"
 )
 
-// leavesOf returns the leaf switches a group spans, in ascending
-// order.
-func leavesOf(f *topology.FredFabric, group []int) []int {
-	var l1s []int
+// switchesOf returns the level-k switches a group spans, in ascending
+// order (level 0 being the L1 switches).
+func switchesOf(f *topology.FredFabric, group []int, level int) []int {
+	var out []int
 	for _, npu := range group {
-		l1 := f.L1Of(npu)
-		i := sort.SearchInts(l1s, l1)
-		if i < len(l1s) && l1s[i] == l1 {
+		sw := f.SwitchOf(npu, level)
+		i := sort.SearchInts(out, sw)
+		if i < len(out) && out[i] == sw {
 			continue
 		}
-		l1s = append(l1s, 0)
-		copy(l1s[i+1:], l1s[i:])
-		l1s[i] = l1
+		out = append(out, 0)
+		copy(out[i+1:], out[i:])
+		out[i] = sw
 	}
-	return l1s
+	return out
 }
 
-// spansLeaves reports whether a group spans more than one leaf switch.
-func spansLeaves(f *topology.FredFabric, group []int) bool {
-	for _, npu := range group {
-		if f.L1Of(npu) != f.L1Of(group[0]) {
-			return true
-		}
+// lcaLevel returns the level of the lowest switch above every member
+// and the given NPU (0 when they all share an L1 switch).
+func lcaLevel(f *topology.FredFabric, npu int, group []int) int {
+	top := 0
+	for _, m := range group {
+		top = max(top, f.LCALevel(npu, m))
 	}
-	return false
+	return top
+}
+
+// treeLatency returns the cut-through latency of a pipelined tree
+// through a level-top switch: top+1 hops up and as many down.
+func treeLatency(f *topology.FredFabric, top int) float64 {
+	return float64(2*(top+1)) * f.Config().LinkLatency
 }
 
 // groupByL1 splits a group of NPUs by leaf switch: it returns the
 // involved leaves in ascending order and, aligned with them, each
 // leaf's members in group order.
 func groupByL1(f *topology.FredFabric, group []int) (l1s []int, members [][]int) {
-	l1s = leavesOf(f, group)
+	l1s = switchesOf(f, group, 0)
 	members = make([][]int, len(l1s))
 	for _, npu := range group {
 		i := sort.SearchInts(l1s, f.L1Of(npu))
@@ -138,27 +145,19 @@ func appendConcurrent(phases []Phase, parts []Schedule) []Phase {
 	return phases
 }
 
-// inNetworkDepth returns the pipelined tree's cut-through latency: 2
-// hops for a leaf-local group, 4 through the root.
-func inNetworkDepth(f *topology.FredFabric, group []int) float64 {
-	if !spansLeaves(f, group) {
-		return 2 * f.Config().LinkLatency
-	}
-	return 4 * f.Config().LinkLatency
-}
-
 // inNetworkTreeLinks returns the links of the reduction/broadcast tree
-// connecting a group through its leaf switches (and the root switch if
-// more than one leaf is involved): per-NPU up and down links plus the
-// L1↔L2 links of every involved leaf.
-func inNetworkTreeLinks(f *topology.FredFabric, group []int) []netsim.LinkID {
+// connecting a group through its switches up to their lowest common
+// one: per-NPU up and down links in group order, then the up and down
+// trunks of every involved switch, level by level in ascending switch
+// order.
+func inNetworkTreeLinks(f *topology.FredFabric, group []int, top int) []netsim.LinkID {
 	var links []netsim.LinkID
 	for _, npu := range group {
 		links = append(links, f.UpLink(npu), f.DownLink(npu))
 	}
-	if spansLeaves(f, group) {
-		for _, l1 := range leavesOf(f, group) {
-			links = append(links, f.L1UpLink(l1), f.L1DownLink(l1))
+	for k := 0; k < top; k++ {
+		for _, sw := range switchesOf(f, group, k) {
+			links = append(links, f.TrunkUp(k, sw), f.TrunkDown(k, sw))
 		}
 	}
 	return links
@@ -175,48 +174,42 @@ func FredInNetworkAllReduce(f *topology.FredFabric, group []int, bytes float64) 
 	if len(group) <= 1 || bytes <= 0 {
 		return s
 	}
+	top := lcaLevel(f, group[0], group)
 	s.Phases = []Phase{{Transfer{
-		Links:           inNetworkTreeLinks(f, group),
+		Links:           inNetworkTreeLinks(f, group, top),
 		Bytes:           bytes,
-		LatencyOverride: inNetworkDepth(f, group),
+		LatencyOverride: treeLatency(f, top),
 	}}}
 	return s
 }
 
 // FredInNetworkReduce compiles an in-switch reduce: contributions
-// climb and reduce toward the root NPU's leaf, then descend to root.
+// climb, reducing at each switch, to the switch on the root NPU's
+// path, then descend that path to the root.
 func FredInNetworkReduce(f *topology.FredFabric, group []int, root int, bytes float64) Schedule {
 	s := Schedule{Name: "fred-innet-reduce"}
 	if bytes <= 0 {
 		return s
 	}
-	rootL1 := f.L1Of(root)
 	var links []netsim.LinkID
 	for _, npu := range group {
 		if npu != root {
 			links = append(links, f.UpLink(npu))
 		}
 	}
-	l1s := leavesOf(f, group)
-	for _, l1 := range l1s {
-		if l1 != rootL1 {
-			links = append(links, f.L1UpLink(l1))
+	top := lcaLevel(f, root, group)
+	for k := 0; k < top; k++ {
+		for _, sw := range switchesOf(f, group, k) {
+			if sw != f.SwitchOf(root, k) {
+				links = append(links, f.TrunkUp(k, sw))
+			}
 		}
 	}
-	needCross := false
-	for _, l1 := range l1s {
-		if l1 != rootL1 {
-			needCross = true
-		}
-	}
-	if needCross {
-		links = append(links, f.L1DownLink(rootL1))
+	for k := top - 1; k >= 0; k-- {
+		links = append(links, f.TrunkDown(k, f.SwitchOf(root, k)))
 	}
 	links = append(links, f.DownLink(root))
-	if len(links) == 0 {
-		return s
-	}
-	s.Phases = []Phase{{Transfer{Links: links, Bytes: bytes, LatencyOverride: inNetworkDepth(f, group)}}}
+	s.Phases = []Phase{{Transfer{Links: links, Bytes: bytes, LatencyOverride: treeLatency(f, top)}}}
 	return s
 }
 
@@ -227,34 +220,29 @@ func FredInNetworkMulticast(f *topology.FredFabric, src int, dsts []int, bytes f
 	if bytes <= 0 {
 		return s
 	}
-	srcL1 := f.L1Of(src)
 	var links []netsim.LinkID
-	seenL1 := make(map[int]bool)
-	needUp := false
+	top := 0
 	for _, d := range dsts {
 		if d == src {
 			continue
 		}
-		needUp = true
 		links = append(links, f.DownLink(d))
-		l1 := f.L1Of(d)
-		if l1 != srcL1 && !seenL1[l1] {
-			seenL1[l1] = true
-			links = append(links, f.L1DownLink(l1))
+		lca := f.LCALevel(src, d)
+		top = max(top, lca)
+		for k := lca - 1; k >= 0; k-- {
+			if l := f.TrunkDown(k, f.SwitchOf(d, k)); !slices.Contains(links, l) {
+				links = append(links, l)
+			}
 		}
 	}
-	if !needUp {
+	if len(links) == 0 {
 		return s
 	}
 	links = append(links, f.UpLink(src))
-	if len(seenL1) > 0 {
-		links = append(links, f.L1UpLink(srcL1))
+	for k := 0; k < top; k++ {
+		links = append(links, f.TrunkUp(k, f.SwitchOf(src, k)))
 	}
-	depth := 2 * f.Config().LinkLatency
-	if len(seenL1) > 0 {
-		depth = 4 * f.Config().LinkLatency
-	}
-	s.Phases = []Phase{{Transfer{Links: links, Bytes: bytes, LatencyOverride: depth}}}
+	s.Phases = []Phase{{Transfer{Links: links, Bytes: bytes, LatencyOverride: treeLatency(f, top)}}}
 	return s
 }
 

@@ -8,8 +8,8 @@ import (
 	"github.com/wafernet/fred/internal/topology"
 )
 
-// router turns an NPU pair into a link route (both Mesh and FredFabric
-// satisfy it via topology.Wafer).
+// router turns an NPU pair into a link route (every topology.Wafer,
+// the mesh and the FRED fabric of any height, satisfies it).
 type router interface {
 	Route(src, dst int) []netsim.LinkID
 }

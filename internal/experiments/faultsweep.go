@@ -99,8 +99,8 @@ func (s *Session) fredDegradedBW(k int) (float64, critpath.Blame) {
 		// One µswitch down inside this trunk's Fred_m interconnect: the
 		// failed middle's color is banned, the trunk keeps (m−1)/m.
 		factor := float64(fredMiddles-1) / fredMiddles
-		net.Link(f.L1UpLink(l1)).Degrade(factor)
-		net.Link(f.L1DownLink(l1)).Degrade(factor)
+		net.Link(f.TrunkUp(0, l1)).Degrade(factor)
+		net.Link(f.TrunkDown(0, l1)).Degrade(factor)
 	})
 	rng := rand.New(rand.NewSource(int64(7001 + k)))
 	trunks := rng.Perm(f.L1Count())[:k]

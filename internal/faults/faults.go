@@ -9,6 +9,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -90,21 +91,26 @@ func (p Plan) Normalize() Plan {
 	return p
 }
 
-// Validate checks event fields: non-negative times, LinkDegrade
-// factors in (0, 1], non-negative recovery.
+// Validate checks event fields: a known kind, finite non-negative
+// times, LinkDegrade factors in (0, 1], no NaN factor, finite
+// non-negative recovery. Link targets are checked against the network
+// by Injector.Schedule.
 func (p Plan) Validate() error {
 	for i, e := range p.Events {
-		if e.At < 0 {
-			return fmt.Errorf("faults: event %d: negative time %g", i, float64(e.At))
+		if e.Kind < LinkFail || e.Kind > NPUDrop {
+			return fmt.Errorf("faults: event %d: unknown kind %v", i, e.Kind)
+		}
+		if !(e.At >= 0) || math.IsInf(e.At, 1) {
+			return fmt.Errorf("faults: event %d: time %g is not finite and non-negative", i, float64(e.At))
 		}
 		if e.Target < 0 {
 			return fmt.Errorf("faults: event %d: negative target", i)
 		}
-		if e.Kind == LinkDegrade && (e.Factor <= 0 || e.Factor > 1) {
+		if math.IsNaN(e.Factor) || (e.Kind == LinkDegrade && (e.Factor <= 0 || e.Factor > 1)) {
 			return fmt.Errorf("faults: event %d: degrade factor %g outside (0,1]", i, e.Factor)
 		}
-		if e.Recover < 0 {
-			return fmt.Errorf("faults: event %d: negative recovery", i)
+		if !(e.Recover >= 0) || math.IsInf(e.Recover, 1) {
+			return fmt.Errorf("faults: event %d: recovery %g is not finite and non-negative", i, float64(e.Recover))
 		}
 	}
 	return nil

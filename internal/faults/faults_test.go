@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -57,6 +58,33 @@ func TestValidateRejectsBadEvents(t *testing.T) {
 	for i, p := range bad {
 		if p.Validate() == nil {
 			t.Errorf("plan %d validated", i)
+		}
+	}
+}
+
+// TestScheduleRejectsPlansThatWouldPanic: Schedule must refuse plans
+// that would panic, or feed NaN or infinity into the simulation, once
+// the scheduler reached them.
+func TestScheduleRejectsPlansThatWouldPanic(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		e    Event
+	}{
+		{"link-fail target past the last link", Event{Kind: LinkFail, Target: 3}},
+		{"link-degrade target past the last link", Event{Kind: LinkDegrade, Target: 99, Factor: 0.5}},
+		{"unknown kind", Event{Kind: EventKind(9)}},
+		{"negative kind", Event{Kind: EventKind(-1)}},
+		{"NaN time", Event{At: nan, Kind: LinkFail}},
+		{"infinite time", Event{At: inf, Kind: LinkFail}},
+		{"NaN factor", Event{Kind: LinkDegrade, Factor: nan}},
+		{"NaN recovery", Event{Kind: LinkDegrade, Factor: 0.5, Recover: nan}},
+		{"infinite recovery", Event{Kind: LinkDegrade, Factor: 0.5, Recover: inf}},
+	}
+	for _, c := range cases {
+		_, net, _ := testNet()
+		if err := NewInjector(net).Schedule(Plan{Events: []Event{c.e}}); err == nil {
+			t.Errorf("%s: plan scheduled", c.name)
 		}
 	}
 }

@@ -61,16 +61,20 @@ func (inj *Injector) SetMetrics(reg *metrics.Registry) *Injector {
 // Applied returns how many events have fired so far.
 func (inj *Injector) Applied() int { return inj.applied }
 
-// Schedule validates the plan and arms one scheduler event per fault
-// event (plus one per recovery). Events at or before the current
-// simulated time apply on the scheduler's next step.
+// Schedule validates the plan, checks that link events target links
+// of the network, and arms one scheduler event per fault event (plus
+// one per recovery). Events at or before the current simulated time
+// apply on the scheduler's next step.
 func (inj *Injector) Schedule(p Plan) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	for _, e := range p.Events {
+	for i, e := range p.Events {
 		if e.Kind == SwitchFail && inj.onSwitchFail == nil {
 			return fmt.Errorf("faults: plan contains switch-fail events but no OnSwitchFail hook is set")
+		}
+		if (e.Kind == LinkFail || e.Kind == LinkDegrade) && e.Target >= inj.net.NumLinks() {
+			return fmt.Errorf("faults: event %d: link %d out of range (%d links)", i, e.Target, inj.net.NumLinks())
 		}
 	}
 	now := inj.sched.Now()

@@ -10,11 +10,12 @@ import (
 // avoids failed links. The mesh falls back from X-Y dimension order to
 // a breadth-first detour over the surviving links — real 2D meshes do
 // exactly this with fault-tolerant turn models, at the cost of longer,
-// more congested paths. The FRED fabrics have no link-level detour to
-// fall back to: an L1↔L2 trunk is a bundle of middle-µswitch paths
-// whose partial loss is modelled as bandwidth degradation (Clos spare
-// paths re-planned by the conflict-free router, see internal/fred), so
-// a fully failed trunk or NPU port makes the endpoint unreachable.
+// more congested paths. The FRED fabric has no link-level detour to
+// fall back to: a switch-to-switch trunk is a bundle of middle-µswitch
+// paths whose partial loss is modelled as bandwidth degradation (Clos
+// spare paths re-planned by the conflict-free router, see
+// internal/fred), so a fully failed trunk or NPU port makes the
+// endpoint unreachable.
 
 // UnreachableError reports that no alive route connects two NPUs.
 type UnreachableError struct {
@@ -135,16 +136,6 @@ func (f *FredFabric) RouteErr(src, dst int) ([]netsim.LinkID, error) {
 	return route, nil
 }
 
-// RouteErr implements FaultRouter; like FredFabric, the LCA route is
-// unique per pair, so a dead link on it is an UnreachableError.
-func (t *FredTree) RouteErr(src, dst int) ([]netsim.LinkID, error) {
-	route := t.Route(src, dst)
-	if !routeAlive(t.net, route) {
-		return nil, &UnreachableError{Topo: t.Name(), Src: src, Dst: dst}
-	}
-	return route, nil
-}
-
 // AliveNPUs returns the NPUs whose injection ports (both directions)
 // are still alive, in index order — the membership a degraded
 // collective re-plans over.
@@ -178,12 +169,6 @@ func AliveNPUs(w Wafer) []int {
 	case *FredFabric:
 		for i := range v.npus {
 			if !net.Link(v.npuUp[i]).Failed() && !net.Link(v.npuDown[i]).Failed() {
-				alive = append(alive, i)
-			}
-		}
-	case *FredTree:
-		for i := range v.npus {
-			if !net.Link(v.npuUp[i]).Failed() && !net.Link(v.npuDwn[i]).Failed() {
 				alive = append(alive, i)
 			}
 		}

@@ -119,7 +119,7 @@ func TestFredFabricRouteErr(t *testing.T) {
 	f := NewFredVariant(net, FredA)
 	// Fail L1.0's up-trunk: pairs crossing the root from L1 0 error,
 	// pairs inside L1 0 and pairs not sourced there keep working.
-	net.Link(f.L1UpLink(0)).Fail()
+	net.Link(f.TrunkUp(0, 0)).Fail()
 	if _, err := f.RouteErr(0, 5); err == nil {
 		t.Fatal("route across the failed trunk did not error")
 	}
@@ -136,14 +136,14 @@ func TestFredTreeRouteValidityUnderRandomFaults(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		net := netsim.New(sim.NewScheduler())
-		ft := NewFredTree(net, TreeConfig{
+		ft := NewFredFabric(net, FredConfig{
 			NPUs: 16, FanIn: []int{4, 2, 2}, LevelBW: []float64{3e12, 1.5e12, 1.5e12},
 			IOCs: 4, IOCBW: 128e9, LinkLatency: 20e-9,
 		})
 		for i := 1 + rng.Intn(4); i > 0; i-- {
 			net.Link(netsim.LinkID(rng.Intn(net.NumLinks()))).Fail()
 		}
-		checkAllPairs(t, "fredtree", ft, ft)
+		checkAllPairs(t, "fred-3L", ft, ft)
 	}
 }
 

@@ -86,7 +86,7 @@ func TestFredRouteCrossL1FourHops(t *testing.T) {
 	if len(r) != 4 {
 		t.Fatalf("cross-L1 route has %d links, want 4", len(r))
 	}
-	want := []netsim.LinkID{f.UpLink(0), f.L1UpLink(0), f.L1DownLink(4), f.DownLink(19)}
+	want := []netsim.LinkID{f.UpLink(0), f.TrunkUp(0, 0), f.TrunkDown(0, 4), f.DownLink(19)}
 	for i := range want {
 		if r[i] != want[i] {
 			t.Fatalf("cross-L1 route hop %d = %v, want %v", i, r[i], want[i])
@@ -248,18 +248,13 @@ func TestWaferInterfaceCompliance(t *testing.T) {
 	var _ Wafer = (*Mesh)(nil)
 	var _ Wafer = (*FredFabric)(nil)
 	m := newTestMesh()
-	fd := newTestFabric(FredD)
-	if TotalIOCBW(m) != 18*128e9 {
-		t.Fatalf("mesh TotalIOCBW = %g", TotalIOCBW(m))
-	}
-	if TotalIOCBW(fd) != 18*128e9 {
-		t.Fatalf("fred TotalIOCBW = %g", TotalIOCBW(fd))
-	}
-	if m.NPUPortBW() != 3e12 {
-		t.Fatalf("mesh NPUPortBW = %g, want 3 TB/s", m.NPUPortBW())
-	}
-	if fd.NPUPortBW() != 3e12 {
-		t.Fatalf("fred NPUPortBW = %g, want 3 TB/s", fd.NPUPortBW())
+	for _, w := range []Wafer{m, newTestFabric(FredD), threeLevel()} {
+		if TotalIOCBW(w) != 18*128e9 {
+			t.Fatalf("%s TotalIOCBW = %g", w.Name(), TotalIOCBW(w))
+		}
+		if w.NPUPortBW() != 3e12 {
+			t.Fatalf("%s NPUPortBW = %g, want 3 TB/s", w.Name(), w.NPUPortBW())
+		}
 	}
 }
 
@@ -278,7 +273,7 @@ func TestRouteLatencies(t *testing.T) {
 	if got := m.RouteLatency(0, 7); got != float64(m.Distance(0, 7))*20e-9 {
 		t.Fatalf("mesh route latency %g", got)
 	}
-	tr := NewFredTree(netsim.New(sim.NewScheduler()), TreeConfig{
+	tr := NewFredFabric(netsim.New(sim.NewScheduler()), FredConfig{
 		NPUs: 16, FanIn: []int{4, 4}, LevelBW: []float64{3e12, 12e12},
 		IOCs: 4, IOCBW: 128e9, LinkLatency: 20e-9,
 	})

@@ -1,6 +1,7 @@
 // Package topology builds wafer-scale network topologies on top of the
 // flow-level simulator: the baseline 2D mesh of prior wafer-scale
-// prototypes, and the FRED hierarchical switch fabric. Both expose a
+// prototypes, and the FRED hierarchical switch fabric, a tree of any
+// height whose 2-level case is the paper's Table 5 fabric. Both expose a
 // common Wafer interface used by the collective algorithms and the
 // training simulator: NPU-to-NPU routes, I/O-controller load/store
 // trees for weight streaming, and capacity summaries.
