@@ -21,6 +21,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown flow kind", []string{"gather:1,2>3"}, 2, `unknown flow kind "gather"`},
 		{"bad port", []string{"allreduce:1,x,3"}, 2, `bad port "x"`},
 		{"m out of range", []string{"-m", "1"}, 2, "-m 1 out of range"},
+		{"p out of range", []string{"-p", "1"}, 2, "-p 1 out of range"},
 		{"default example routes", nil, 0, ""},
 	}
 	for _, tc := range cases {

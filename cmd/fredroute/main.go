@@ -58,6 +58,11 @@ flows: allreduce:3,4,5  reduce:1,2>5  multicast:0>4,5  unicast:0>7`)
 		fs.Usage()
 		return 2
 	}
+	if *p < 2 {
+		fmt.Fprintf(stderr, "fredroute: -p %d out of range (need ≥ 2 switch ports)\n", *p)
+		fs.Usage()
+		return 2
+	}
 
 	flows, err := parseFlows(fs.Args())
 	if err != nil {

@@ -29,11 +29,9 @@ import (
 	"github.com/wafernet/fred/internal/experiments"
 	"github.com/wafernet/fred/internal/fred"
 	"github.com/wafernet/fred/internal/multiwafer"
-	"github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/parallelism"
 	"github.com/wafernet/fred/internal/placement"
 	"github.com/wafernet/fred/internal/report"
-	"github.com/wafernet/fred/internal/sim"
 	"github.com/wafernet/fred/internal/topology"
 	"github.com/wafernet/fred/internal/training"
 	"github.com/wafernet/fred/internal/workload"
@@ -131,11 +129,6 @@ func NewBaselineMesh() *Platform { return NewPlatform(SystemBaseline) }
 
 // NewFred builds a FRED platform variant ("Fred-A" … "Fred-D").
 func NewFred(name SystemName) *Platform { return NewPlatform(name) }
-
-// NewMeshPlatform builds a custom mesh wafer.
-func NewMeshPlatform(cfg topology.MeshConfig) *Platform {
-	return &Platform{wafer: topology.NewMesh(netsim.New(sim.NewScheduler()), cfg)}
-}
 
 // Wafer exposes the underlying topology.
 func (p *Platform) Wafer() topology.Wafer { return p.wafer }

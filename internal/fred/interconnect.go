@@ -39,11 +39,9 @@ type Interconnect struct {
 	// by element ID; nil while the interconnect is healthy.
 	failed []bool
 	// Coloring memo (memo.go): conflict-graph colorings keyed by packed
-	// (adjacency, banned-middle set), with a reused key scratch buffer;
-	// faultEpoch counts FailElement calls for plan-level caches.
+	// (adjacency, banned-middle set), with a reused key scratch buffer.
 	colorMemo   map[string]colorResult
 	colorKeyBuf []byte
-	faultEpoch  uint64
 	// Route's reused working set (routing.go): per-level scratch, the
 	// root-level projected flows, and the shared one-port lists {c}.
 	scratch    []*routeScratch

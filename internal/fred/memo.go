@@ -6,7 +6,7 @@ import "encoding/binary"
 // in the routing protocol — everything else in routeStage is linear
 // bookkeeping — and identical sub-problems recur heavily: every Route
 // call over the same flow pattern (per-iteration re-validation, the
-// incremental router's repair probes) rebuilds the same adjacency at
+// ablation's repeated trials) rebuilds the same adjacency at
 // every recursion level. A coloring is a pure function of (adjacency,
 // palette size, banned-middle set), and m is fixed per interconnect,
 // so the memo key is the packed adjacency bits plus the banned set.
@@ -86,8 +86,3 @@ func (ic *Interconnect) colorCached(adj [][]bool, banned []bool) ([]int, bool) {
 	ic.colorMemo[string(key)] = colorResult{colors: colors, ok: ok}
 	return colors, ok
 }
-
-// FaultEpoch counts FailElement calls — the interconnect's fault-state
-// epoch. Callers caching Plan-level results key on it the same way the
-// collective compiler keys on netsim.Network.StateEpoch.
-func (ic *Interconnect) FaultEpoch() uint64 { return ic.faultEpoch }

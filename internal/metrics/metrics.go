@@ -62,19 +62,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// KindFromString parses the artifact encoding of a Kind.
-func KindFromString(s string) (Kind, error) {
-	switch s {
-	case "counter":
-		return KindCounter, nil
-	case "gauge":
-		return KindGauge, nil
-	case "histogram":
-		return KindHistogram, nil
-	}
-	return 0, fmt.Errorf("metrics: unknown series kind %q", s)
-}
-
 // Series is one named metric. The zero value is not useful; obtain
 // series from a Registry.
 type Series struct {
@@ -228,10 +215,6 @@ func (s *Series) Quantile(q float64) float64 {
 	}
 	return s.max
 }
-
-// Bounds returns the histogram's bucket upper bounds (aliased, do not
-// mutate).
-func (s *Series) Bounds() []float64 { return s.bounds }
 
 // Weights returns the histogram's bucket weights, one per bound plus a
 // final overflow bucket (aliased, do not mutate).
@@ -392,10 +375,3 @@ var utilBuckets = LogBuckets(1e-3, 1, 9)
 // histograms (1e-3 … 1.0, 9 buckets per decade; utilization below the
 // first bound lands in its bucket, above 1.0 in the overflow bucket).
 func UtilBuckets() []float64 { return utilBuckets }
-
-// secondsBuckets is the canonical bound set for duration histograms.
-var secondsBuckets = LogBuckets(1e-9, 1e3, 3)
-
-// SecondsBuckets returns the canonical log-spaced bounds for duration
-// histograms (1 ns … 1000 s, 3 buckets per decade).
-func SecondsBuckets() []float64 { return secondsBuckets }
